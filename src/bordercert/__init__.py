@@ -34,15 +34,12 @@ from .orderideal import (
 from .coeffring import (
     DEFAULT_PRIME,
     CoeffPoly,
-    DualScalar,
     IndeterminateRegistry,
-    PrimeFieldScalar,
     validated_prime,
 )
 from .borderbasis import (
     BorderSystem,
     SpanElement,
-    dualize_system,
     generic_distinguished,
     is_border_basis,
     power_in_ideal,
@@ -98,13 +95,10 @@ __all__ = [
     "translation_frame",
     "DEFAULT_PRIME",
     "CoeffPoly",
-    "DualScalar",
     "IndeterminateRegistry",
-    "PrimeFieldScalar",
     "validated_prime",
     "BorderSystem",
     "SpanElement",
-    "dualize_system",
     "generic_distinguished",
     "is_border_basis",
     "power_in_ideal",

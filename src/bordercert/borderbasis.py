@@ -3,8 +3,10 @@
 A border system stores one generator per border monomial in the rewrite form
 g_j = b_j - sum_i Y_ij t_i, so b_j may be replaced by its *tail*
 sum_i Y_ij t_i.  The coefficients Y_ij live in any commutative ring R that
-supports +, -, *, ** and truthiness as zero test: sparse polynomials in the
-named coefficients, exact rationals, dual numbers, or a prime field.
+supports +, -, * and truthiness as zero test: sparse polynomials in the
+named coefficients, or integers once those are specialized at an integer
+point.  A system specialized for prime mode holds the same integers and only
+records the modulus that the tangent rank works in.
 
 `reduce` rewrites an arbitrary element to one supported on basis monomials.
 For input supported on the basis and its border a single substitution sweep
@@ -18,14 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .coeffring import (
-    DEFAULT_PRIME,
-    CoeffPoly,
-    DualScalar,
-    IndeterminateRegistry,
-    PrimeFieldScalar,
-    _normalize_assignment,
-)
+from .coeffring import DEFAULT_PRIME, CoeffPoly, IndeterminateRegistry, _integer_assignment
 from .monomial import ArgumentError, InternalInvariantError, Monomial, negdeglex_key
 from .orderideal import NeighborPair, OrderIdealData, neighbor_pairs
 
@@ -34,24 +29,19 @@ from .orderideal import NeighborPair, OrderIdealData, neighbor_pairs
 class RingSpec:
     """Which coefficient ring a border system's tails live in."""
 
-    kind: str  # "poly" | "rational" | "dual" | "prime"
+    kind: str  # "poly" | "rational" | "prime"; the last two hold integer tails
     registry: Optional[IndeterminateRegistry] = None
     prime: Optional[int] = None
 
     def one(self):
         if self.kind == "poly":
             return CoeffPoly.constant(self.registry, 1)
-        if self.kind == "rational":
-            return Fraction(1)
-        if self.kind == "dual":
-            return DualScalar.of(1)
-        if self.kind == "prime":
-            return PrimeFieldScalar(self.prime, 1)
+        if self.kind in ("rational", "prime"):
+            return 1
         raise ArgumentError(f"unknown ring kind {self.kind!r}")
 
 
 RATIONAL_RING = RingSpec("rational")
-DUAL_RING = RingSpec("dual")
 
 
 class SpanElement:
@@ -146,23 +136,15 @@ def _render_coefficient_times_monomial(c, m: Monomial) -> Tuple[str, bool]:
             return (text if mono == "1" else f"{text}*{mono}"), negative
         text = str(c)
         return (text if mono == "1" else f"({text})*{mono}"), False
-    if isinstance(c, Fraction) or isinstance(c, int):
-        f = Fraction(c)
-        negative = f < 0
-        f = abs(f)
-        num = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-        if mono == "1":
-            return num, negative
-        if f == 1:
-            return mono, negative
-        return f"{num}*{mono}", negative
-    if isinstance(c, PrimeFieldScalar):
-        if mono == "1":
-            return str(c.residue), False
-        if c.residue == 1:
-            return mono, False
-        return f"{c.residue}*{mono}", False
-    return (f"({c})" if mono == "1" else f"({c})*{mono}"), False
+    f = Fraction(c)
+    negative = f < 0
+    f = abs(f)
+    num = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    if mono == "1":
+        return num, negative
+    if f == 1:
+        return mono, negative
+    return f"{num}*{mono}", negative
 
 
 class BorderSystem:
@@ -357,60 +339,22 @@ def specialize_system(
     field: str = "exact",
     prime: Optional[int] = None,
 ) -> BorderSystem:
-    """Evaluate every tail coefficient at a point, exactly or modulo a prime."""
+    """Evaluate every tail coefficient at an integer point.
+
+    The tails are integers in both fields; ``field="prime"`` only records the
+    modulus that the tangent rank is computed in.
+    """
     if sys.ring.kind != "poly":
         raise ArgumentError("only systems with polynomial coefficients can be specialized")
-    registry = sys.ring.registry
-    values = _normalize_assignment(registry, assignment)
-    missing = set(range(len(registry))) - set(values)
-    if missing:
-        names = ", ".join(registry.name_of(i) for i in sorted(missing)[:5])
-        raise ArgumentError(f"assignment misses {len(missing)} indeterminates ({names}, ...)")
+    values = _integer_assignment(sys.ring.registry, assignment)
     if field == "exact":
         ring = RATIONAL_RING
-
-        def convert(f):
-            return f
-
     elif field == "prime":
-        p = prime if prime is not None else DEFAULT_PRIME
-        ring = RingSpec("prime", prime=p)
-
-        def convert(f):
-            return PrimeFieldScalar.of(p, f)
-
+        ring = RingSpec("prime", prime=prime if prime is not None else DEFAULT_PRIME)
     else:
         raise ArgumentError(f"unknown field {field!r} (use 'exact' or 'prime')")
-    tails: List[Dict[int, object]] = []
-    for tail in sys.tails:
-        new: Dict[int, object] = {}
-        for i, y in tail.items():
-            v = y.specialize(values)
-            if v:
-                new[i] = convert(v)
-        tails.append(new)
+    tails = [{i: y.integer_value(values) for i, y in tail.items()} for tail in sys.tails]
     return BorderSystem(sys.oid, tails, ring)
-
-
-def dualize_system(sys: BorderSystem, slopes: Optional[Dict[Tuple[int, int], Fraction]] = None) -> BorderSystem:
-    """Lift a rational system to dual numbers, optionally deforming tails.
-
-    ``slopes`` maps (basis index i, border index j) to the eps-coefficient
-    added to Y_ij.
-    """
-    if sys.ring.kind != "rational":
-        raise ArgumentError("only rational systems can be lifted to dual numbers")
-    slopes = slopes or {}
-    tails: List[Dict[int, object]] = []
-    for j0, tail in enumerate(sys.tails, start=1):
-        new: Dict[int, object] = {}
-        for i, y in tail.items():
-            new[i] = DualScalar.of(y, slopes.get((i, j0), 0))
-        for (i, j), sl in slopes.items():
-            if j == j0 and i not in new and sl:
-                new[i] = DualScalar.of(0, sl)
-        tails.append(new)
-    return BorderSystem(sys.oid, tails, DUAL_RING)
 
 
 def power_in_ideal(sys: BorderSystem, k: int) -> int:

@@ -1,26 +1,24 @@
 """Exact coefficient arithmetic for the border-basis construction.
 
-Four kinds of scalars appear downstream:
+Two kinds of scalars appear downstream:
 
-* plain rationals (`fractions.Fraction`),
 * `CoeffPoly`: sparse polynomials over the rationals in named indeterminates —
   one tail coefficient C[i,j] per (trailing monomial, leading monomial) slot
   plus one free target coefficient theta[q] per seed target term,
-* `DualScalar`: first-order dual numbers a + b*eps with eps^2 = 0, used to
-  read off directional derivatives,
-* `PrimeFieldScalar`: residues modulo a large configured prime, used to
-  accelerate rank computations probabilistically.
+* plain integers: the values of those polynomials at an integer point.  Every
+  coefficient of the generic polynomials is an integer, so a specialized
+  system is integral; prime mode reduces these integers modulo a large
+  configured prime only when it computes a rank.
 
 No floating point appears anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
-from .monomial import ArgumentError
+from .monomial import ArgumentError, InternalInvariantError
 
 Rational = Union[int, Fraction]
 
@@ -240,23 +238,28 @@ class CoeffPoly:
             total += v
         return total
 
-    def evaluate(self, values: Mapping[int, object], one):
-        """Evaluate with values from an arbitrary commutative ring.
-
-        ``values`` maps indeterminate ids to ring elements and ``one`` is the
-        ring's multiplicative identity (used to coerce rational coefficients).
-        """
-        total = None
+    def integer_value(self, values: Mapping[int, int]) -> int:
+        """Value at an integer point given for every indeterminate id."""
+        total = 0
         for key, c in self.terms.items():
-            v = one * c
+            if c.denominator != 1:
+                raise InternalInvariantError(f"coefficient {c} of {self} is not an integer")
+            v = c.numerator
             for ind, e in key:
-                if ind not in values:
-                    raise ArgumentError(f"no value assigned to {self.registry.name_of(ind)}")
-                v = v * values[ind] ** e
-            total = v if total is None else total + v
-        if total is None:
-            return one * 0
+                v *= values[ind] ** e
+            total += v
         return total
+
+    def partial(self, ind_id: int) -> "CoeffPoly":
+        """Formal partial derivative with respect to one indeterminate."""
+        terms: Dict[ExponentKey, Fraction] = {}
+        for key, c in self.terms.items():
+            for pos, (ind, e) in enumerate(key):
+                if ind == ind_id:
+                    lowered = ((ind, e - 1),) if e > 1 else ()
+                    terms[key[:pos] + lowered + key[pos + 1 :]] = c * e
+                    break
+        return CoeffPoly(self.registry, terms)
 
     # ------------------------------------------------------------ rendering
 
@@ -312,135 +315,18 @@ def _normalize_assignment(registry: IndeterminateRegistry, assignment: Mapping) 
     return values
 
 
-def specialize(p: CoeffPoly, assignment: Mapping) -> Fraction:
-    return p.specialize(assignment)
-
-
-def constant_term(p: CoeffPoly) -> Fraction:
-    return p.constant_term
-
-
-@dataclass(frozen=True)
-class DualScalar:
-    """A dual number value + slope*eps with eps^2 = 0."""
-
-    value: Fraction
-    slope: Fraction
-
-    @classmethod
-    def of(cls, value: Rational, slope: Rational = 0) -> "DualScalar":
-        return cls(_as_fraction(value), _as_fraction(slope))
-
-    @staticmethod
-    def _coerce(other) -> "DualScalar":
-        if isinstance(other, DualScalar):
-            return other
-        return DualScalar(_as_fraction(other), Fraction(0))
-
-    def __add__(self, other) -> "DualScalar":
-        o = self._coerce(other)
-        return DualScalar(self.value + o.value, self.slope + o.slope)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "DualScalar":
-        return DualScalar(-self.value, -self.slope)
-
-    def __sub__(self, other) -> "DualScalar":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "DualScalar":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other) -> "DualScalar":
-        o = self._coerce(other)
-        return DualScalar(self.value * o.value, self.value * o.slope + self.slope * o.value)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "DualScalar":
-        if e < 0:
-            raise ArgumentError("negative powers of dual numbers are not needed")
-        out = DualScalar(Fraction(1), Fraction(0))
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def __bool__(self) -> bool:
-        return bool(self.value) or bool(self.slope)
-
-
-class PrimeFieldScalar:
-    """A residue modulo a configured prime p > 2^31."""
-
-    __slots__ = ("prime", "residue")
-
-    def __init__(self, prime: int, residue: int):
-        self.prime = prime
-        self.residue = residue % prime
-
-    @classmethod
-    def of(cls, prime: int, value: Rational) -> "PrimeFieldScalar":
-        f = _as_fraction(value)
-        if f.denominator % prime == 0:
-            raise ArgumentError(f"denominator of {f} vanishes modulo {prime}")
-        return cls(prime, f.numerator * pow(f.denominator, -1, prime))
-
-    def _check(self, other) -> "PrimeFieldScalar":
-        if isinstance(other, PrimeFieldScalar):
-            if other.prime != self.prime:
-                raise ArgumentError("cannot combine residues over different primes")
-            return other
-        return PrimeFieldScalar.of(self.prime, other)
-
-    def __add__(self, other) -> "PrimeFieldScalar":
-        o = self._check(other)
-        return PrimeFieldScalar(self.prime, self.residue + o.residue)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "PrimeFieldScalar":
-        return PrimeFieldScalar(self.prime, -self.residue)
-
-    def __sub__(self, other) -> "PrimeFieldScalar":
-        return self + (-self._check(other))
-
-    def __rsub__(self, other) -> "PrimeFieldScalar":
-        return self._check(other) + (-self)
-
-    def __mul__(self, other) -> "PrimeFieldScalar":
-        o = self._check(other)
-        return PrimeFieldScalar(self.prime, self.residue * o.residue)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "PrimeFieldScalar":
-        if e < 0:
-            return self.inverse() ** (-e)
-        return PrimeFieldScalar(self.prime, pow(self.residue, e, self.prime))
-
-    def inverse(self) -> "PrimeFieldScalar":
-        if self.residue == 0:
-            raise ArgumentError("zero has no inverse")
-        return PrimeFieldScalar(self.prime, pow(self.residue, -1, self.prime))
-
-    def __bool__(self) -> bool:
-        return self.residue != 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.residue == other % self.prime
-        return (
-            isinstance(other, PrimeFieldScalar)
-            and self.prime == other.prime
-            and self.residue == other.residue
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.prime, self.residue))
-
-    def __repr__(self) -> str:
-        return f"PrimeFieldScalar({self.residue} mod {self.prime})"
+def _integer_assignment(registry: IndeterminateRegistry, assignment: Mapping) -> Dict[int, int]:
+    """Validate a point once: every indeterminate gets an integer value."""
+    values: Dict[int, int] = {}
+    for ind, v in _normalize_assignment(registry, assignment).items():
+        if v.denominator != 1:
+            raise ArgumentError(f"{registry.name_of(ind)} must take an integer value, got {v}")
+        values[ind] = v.numerator
+    missing = set(range(len(registry))) - set(values)
+    if missing:
+        names = ", ".join(registry.name_of(i) for i in sorted(missing)[:5])
+        raise ArgumentError(f"assignment misses {len(missing)} indeterminates ({names}, ...)")
+    return values
 
 
 def validated_prime(p: int) -> int:

@@ -1,10 +1,11 @@
-"""Exact rank computation for sparse rational and prime-field matrices.
+"""Exact rank computation for sparse rational and integer matrices.
 
 Rows are sparse mappings column -> value.  Rational ranks go through a
 fraction-free integer elimination (clear denominators once, then combine
 rows by cross-multiplication and strip common factors), so no rounding can
-occur anywhere.  Prime-field ranks use ordinary elimination with pivots
-normalized to 1.
+occur anywhere.  Prime mode takes integer rows, reduces their entries modulo
+the prime and uses ordinary elimination with pivots normalized to 1; that is
+the only place where prime mode differs from exact mode.
 """
 
 from __future__ import annotations
@@ -13,22 +14,20 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List
 
-from .coeffring import PrimeFieldScalar
 from .monomial import ArgumentError
 
 SparseRow = Dict[int, object]
 
 
 def _to_integer_row(row: SparseRow) -> Dict[int, int]:
+    # ints and Fractions both carry numerator and denominator
     denom = 1
     for v in row.values():
-        f = v if isinstance(v, Fraction) else Fraction(v)
-        denom = denom * f.denominator // gcd(denom, f.denominator)
+        denom = denom * v.denominator // gcd(denom, v.denominator)
     out = {}
     common = 0
     for c, v in row.items():
-        f = v if isinstance(v, Fraction) else Fraction(v)
-        n = int(f * denom)
+        n = v.numerator * (denom // v.denominator)
         if n:
             out[c] = n
             common = gcd(common, n)
@@ -76,13 +75,13 @@ def exact_rank(rows: Iterable[SparseRow]) -> int:
 
 
 def modp_rank(rows: Iterable[SparseRow], prime: int) -> int:
-    """Rank over the field with `prime` elements; values are ints or residues."""
+    """Rank over the field with `prime` elements of rows with integer values."""
     pivots: Dict[int, Dict[int, int]] = {}
     rank = 0
     for raw in sorted(rows, key=len):
         row = {}
         for c, v in raw.items():
-            n = v.residue if isinstance(v, PrimeFieldScalar) else int(v) % prime
+            n = int(v) % prime
             if n:
                 row[c] = n
         while row:
@@ -115,7 +114,7 @@ def dedupe_rows(rows: Iterable[SparseRow], prime: int = 0) -> List[SparseRow]:
         if prime:
             items = []
             for c, v in row.items():
-                n = v.residue if isinstance(v, PrimeFieldScalar) else int(v) % prime
+                n = int(v) % prime
                 if n:
                     items.append((c, n))
             items.sort()

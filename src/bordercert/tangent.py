@@ -10,6 +10,12 @@ Coordinate tangent tuples differentiate the constructed family itself: one
 tuple per free tail slot, per free target coefficient, and per translation
 direction.  Their joint rank equals the closed-form family dimension at a
 sufficiently general specialization, which is the certification criterion.
+
+Specialized systems hold integers, so every tuple is an integer vector: a
+parameter tuple is a partial derivative of the tails evaluated at the point,
+a translation tuple the reduction of a formal partial derivative of each
+generator.  A prime-mode system differs only in that its tangent rank is
+computed modulo the prime.
 """
 
 from __future__ import annotations
@@ -17,19 +23,17 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .borderbasis import (
     BorderSystem,
     SpanElement,
-    dualize_system,
     is_border_basis,
     reduce,
     s_polynomial,
     specialize_system,
 )
-from .coeffring import DualScalar, IndeterminateRegistry
+from .coeffring import IndeterminateRegistry, _integer_assignment
 from .linalg import rank_of
 from .monomial import ArgumentError, InternalInvariantError, Monomial
 from .orderideal import OrderIdealData, translation_frame
@@ -44,9 +48,9 @@ class TangentTuple:
 
     mu: int
     nu: int
-    values: Tuple[Fraction, ...]
+    values: Tuple[int, ...]
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> int:
         if not (1 <= i <= self.mu and 1 <= j <= self.nu):
             raise ArgumentError(f"entry ({i},{j}) outside 1..{self.mu} x 1..{self.nu}")
         return self.values[(j - 1) * self.mu + (i - 1)]
@@ -179,26 +183,23 @@ def tangent_dimension(sys: BorderSystem) -> int:
 _LABEL = re.compile(r"(C\[\d+,\d+\]|theta\[\d+\]|Z\[(\d+),(\d+)\])$")
 
 
-def random_assignment(registry: IndeterminateRegistry, seed: int) -> Dict[int, Fraction]:
+def random_assignment(registry: IndeterminateRegistry, seed: int) -> Dict[int, int]:
     """Deterministic nonzero integer values in [-50, 50] for every slot."""
     rng = random.Random(seed)
     pool = [v for v in range(-50, 51) if v != 0]
-    return {i: Fraction(rng.choice(pool)) for i in range(len(registry))}
+    return {i: rng.choice(pool) for i in range(len(registry))}
 
 
-def _parameter_tuple(sys_generic: BorderSystem, values, chi_id: int) -> TangentTuple:
+def _parameter_tuple(
+    sys_generic: BorderSystem, values: Dict[int, int], chi_id: int
+) -> TangentTuple:
+    """a_ij = -dY_ij/dchi at the point, as the tails deform to Y_ij - eps*a_ij."""
     oid = sys_generic.oid
     mu, nu = oid.mu, oid.nu
-    dual_values = {
-        i: DualScalar(v, Fraction(1 if i == chi_id else 0)) for i, v in values.items()
-    }
-    one = DualScalar.of(1)
-    out = [Fraction(0)] * (mu * nu)
+    out = [0] * (mu * nu)
     for j in range(1, nu + 1):
         for i, y in sys_generic.tails[j - 1].items():
-            slope = y.evaluate(dual_values, one).slope
-            if slope:
-                out[_column(mu, i, j)] = -slope
+            out[_column(mu, i, j)] = -y.partial(chi_id).integer_value(values)
     return TangentTuple(mu, nu, tuple(out))
 
 
@@ -227,24 +228,13 @@ def _translation_tuple(
     if alpha not in fr.delta_sets or not 1 <= lam <= len(fr.delta_sets[alpha]):
         raise ArgumentError(f"no translation direction Z[{alpha},{lam}]")
     shift = fr.delta_sets[alpha][lam - 1]
-    dual_sys = dualize_system(spec_sys)
-    out = [Fraction(0)] * (mu * nu)
+    out = [0] * (mu * nu)
     for j in range(1, nu + 1):
         gen = spec_sys.generator(j)
-        deriv = _formal_partial(gen, alpha, shift)
-        terms: Dict[Monomial, DualScalar] = {
-            m: DualScalar.of(c) for m, c in gen.terms.items()
-        }
-        for m, c in deriv.terms.items():
-            prev = terms.get(m, DualScalar.of(0))
-            terms[m] = DualScalar(prev.value, prev.slope + c)
-        reduced = reduce(SpanElement(terms), dual_sys)
-        for t, v in reduced.terms.items():
-            if v.value:
-                raise InternalInvariantError(
-                    f"generator {j} does not reduce to zero at order zero"
-                )
-            out[_column(mu, oid.index_of_basis[t], j)] = v.slope
+        if reduce(gen, spec_sys):
+            raise InternalInvariantError(f"generator {j} does not reduce to zero at order zero")
+        for t, v in reduce(_formal_partial(gen, alpha, shift), spec_sys).terms.items():
+            out[_column(mu, oid.index_of_basis[t], j)] = v
     return TangentTuple(mu, nu, tuple(out))
 
 
@@ -258,12 +248,7 @@ def coordinate_tangent_tuple(
     m = _LABEL.fullmatch(chi)
     if m is None:
         raise ArgumentError(f"unknown coordinate {chi!r}")
-    from .coeffring import _normalize_assignment
-
-    values = _normalize_assignment(registry, assignment)
-    missing = set(range(len(registry))) - set(values)
-    if missing:
-        raise ArgumentError(f"assignment misses {len(missing)} indeterminates")
+    values = _integer_assignment(registry, assignment)
     if chi.startswith("Z["):
         alpha, lam = int(m.group(2)), int(m.group(3))
         spec_sys = specialize_system(sys_generic, values)

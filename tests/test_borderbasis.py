@@ -11,6 +11,7 @@ from bordercert import (
     BorderSystem,
     CoeffPoly,
     IndeterminateRegistry,
+    InternalInvariantError,
     Monomial,
     Signature,
     SpanElement,
@@ -175,6 +176,26 @@ def test_specialize_system_errors():
     spec = specialize_system(sys, full)
     with pytest.raises(ArgumentError):
         specialize_system(spec, full)  # already specialized
+
+
+def test_specialize_system_holds_integer_tails():
+    oid = build(Signature(5, 2, 3, 3, 0))
+    reg = IndeterminateRegistry(oid)
+    sys = build_generic_modification(oid, reg)
+    full = _random_assignment(reg, 1)
+    for field in ("exact", "prime"):
+        spec = specialize_system(sys, full, field=field)
+        values = [c for tail in spec.tails for c in tail.values()]
+        assert values and all(type(c) is int for c in values), field
+    half = dict(full)
+    half[reg.id_of("theta[1]")] = Fraction(1, 2)
+    with pytest.raises(ArgumentError, match=r"theta\[1\]"):
+        specialize_system(sys, half)
+    tails = [dict(t) for t in sys.tails]
+    j, i = next((j, i) for j, t in enumerate(tails) for i in t)
+    tails[j][i] = tails[j][i] * Fraction(1, 2)
+    with pytest.raises(InternalInvariantError):
+        specialize_system(BorderSystem(oid, tails, sys.ring), full)
 
 
 @pytest.mark.parametrize("sig", [Signature(3, 2, 3, 2, 1), Signature(3, 2, 3, 2, 0)])

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from bordercert import (
     DEFAULT_PRIME,
-    PrimeFieldScalar,
     dedupe_rows,
     exact_rank,
     modp_rank,
@@ -95,9 +94,9 @@ def test_rank_edge_cases():
 def test_modp_rank_with_field_scalars():
     p = DEFAULT_PRIME
     rows = [
-        {0: PrimeFieldScalar.of(p, Fraction(1, 2)), 1: PrimeFieldScalar.of(p, 3)},
-        {0: PrimeFieldScalar.of(p, 2), 1: PrimeFieldScalar.of(p, 12)},
-        {1: PrimeFieldScalar.of(p, 1)},
+        {0: pow(2, -1, p), 1: 3},
+        {0: 2, 1: 12},
+        {1: 1},
     ]
     # row2 = 4 * row1, so the rank is 2
     assert modp_rank(rows, p) == 2
@@ -119,8 +118,8 @@ def test_dedupe_rows_collapses_scalar_multiples():
 def test_dedupe_rows_prime_mode():
     p = DEFAULT_PRIME
     rows = [
-        {0: PrimeFieldScalar.of(p, 1), 1: PrimeFieldScalar.of(p, 2)},
-        {0: PrimeFieldScalar.of(p, 3), 1: PrimeFieldScalar.of(p, 6)},
+        {0: 1, 1: 2},
+        {0: 3, 1: 6},
     ]
     assert len(dedupe_rows(rows, prime=p)) == 1
 
