@@ -71,7 +71,6 @@ from .tangent import (
     tangent_dimension,
 )
 from .certify import CertificationReport, certify, inspect_signature, report_to_json_dict
-from .cli import RunConfig, main
 from .version import __version__
 
 __all__ = [
@@ -131,7 +130,5 @@ __all__ = [
     "certify",
     "inspect_signature",
     "report_to_json_dict",
-    "RunConfig",
-    "main",
     "__version__",
 ]

@@ -16,15 +16,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .borderbasis import (
-    BorderSystem,
     is_border_basis,
     power_in_ideal,
     specialize_system,
 )
-from .coeffring import DEFAULT_PRIME, IndeterminateRegistry, validated_prime
+from .coeffring import IndeterminateRegistry, validated_prime
 from .modification import build_generic_modification
 from .monomial import ArgumentError
-from .orderideal import OrderIdealData, Signature, build
+from .orderideal import Signature, build
 from .tangent import dim_U, frame, random_assignment, tangent_dimension
 from .version import __version__
 
@@ -90,6 +89,13 @@ def _jsonable(value):
     return value
 
 
+def generic_system(sig: Signature):
+    """The order ideal of `sig`, its tail indeterminates and the modified generic system."""
+    oid = build(sig)
+    registry = IndeterminateRegistry(oid)
+    return oid, registry, build_generic_modification(oid, registry)
+
+
 def certify(
     sig: Signature,
     trials: int = 3,
@@ -109,9 +115,7 @@ def certify(
     evidence: List[str] = []
 
     t0 = time.perf_counter()
-    oid = build(sig)
-    registry = IndeterminateRegistry(oid)
-    system = build_generic_modification(oid, registry)
+    oid, registry, system = generic_system(sig)
     timings["build"] = time.perf_counter() - t0
 
     family_dim = dim_U(oid)

@@ -1,29 +1,33 @@
-"""Command-line front end.
+"""Command-line front end: a thin shell over `certify` and its building blocks.
 
-Subcommands: inspect, modify, verify, tangent, certify, batch.  Exit codes:
-0 success, 2 argument error, 3 inconclusive certification or failed
-verification, 4 internal invariant violation.
+Subcommands: inspect, modify, verify, tangent, certify, batch.  Each handler
+reads the parsed arguments directly; argparse checks the flags, `certify`
+checks its own arguments.  Exit codes: 0 success, 2 argument error, 3
+inconclusive certification or failed verification, 4 internal invariant
+violation (for `batch`, on any line).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
+import functools
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .borderbasis import is_border_basis, specialize_system
 from .certify import (
     SYMBOLIC_BUDGET,
     certify,
+    generic_system,
     inspect_signature,
     report_to_json_dict,
 )
-from .coeffring import IndeterminateRegistry, validated_prime
-from .modification import build_generic_modification, build_targets, render_targets
+from .coeffring import validated_prime
+from .modification import build_targets, render_targets
 from .monomial import ArgumentError, InternalInvariantError
 from .orderideal import Signature, build, shape_to_signature
 from .tangent import dim_U, random_assignment, tangent_dimension
@@ -33,52 +37,6 @@ EXIT_OK = 0
 EXIT_ARGUMENT = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """A fully resolved invocation: one subcommand plus its settings."""
-
-    subcommand: str
-    signature: Optional[str] = None
-    shape: Optional[str] = None
-    trials: int = 3
-    seed: int = 1
-    field: str = "exact"
-    prime: Optional[int] = None
-    json_path: Optional[str] = None
-    dump_path: Optional[str] = None
-    input_path: Optional[str] = None
-    budget: int = SYMBOLIC_BUDGET
-    include_timings: bool = True
-    jobs: int = 1
-    verbosity: int = 0
-
-    def __post_init__(self) -> None:
-        if self.subcommand != "batch" and (self.signature is None) == (self.shape is None):
-            raise ArgumentError("provide exactly one of --signature or --shape")
-        if self.field not in ("exact", "prime"):
-            raise ArgumentError(f"field must be 'exact' or 'prime', got {self.field!r}")
-        if self.trials < 1:
-            raise ArgumentError("trials must be at least 1")
-
-    def resolved_signature(self) -> Signature:
-        if self.signature is not None:
-            n, r, s, delta, w = _parse_ints(self.signature, 5, "--signature")
-            return Signature(n, r, s, delta, w)
-        assert self.shape is not None
-        n, kappa, r, s = _parse_ints(self.shape, 4, "--shape")
-        return shape_to_signature(n, kappa, r, s)
-
-    def resolved_prime(self) -> Optional[int]:
-        if self.prime is not None:
-            return validated_prime(self.prime)
-        env = os.environ.get("BORDERCERT_PRIME")
-        if env:
-            if not env.strip().isdigit():
-                raise ArgumentError(f"BORDERCERT_PRIME must be an integer, got {env!r}")
-            return validated_prime(int(env.strip()))
-        return None
 
 
 def _parse_ints(text: str, count: int, what: str) -> List[int]:
@@ -91,18 +49,50 @@ def _parse_ints(text: str, count: int, what: str) -> List[int]:
         raise ArgumentError(f"{what} must be {count} comma-separated integers, got {text!r}")
 
 
-def _add_signature_flags(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--signature", help="n,r,s,delta,w")
-    group.add_argument("--shape", help="n,kappa,r,s (converted to a signature)")
+def _trial_count(text: str) -> int:
+    trials = int(text)
+    if trials < 1:
+        raise argparse.ArgumentTypeError("trials must be at least 1")
+    return trials
 
 
-def _add_field_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--field", choices=("exact", "prime"), default="exact")
-    p.add_argument("--prime", type=int, default=None, help="modulus for --field prime")
+def _signature(args: argparse.Namespace) -> Signature:
+    if args.signature is not None:
+        return Signature(*_parse_ints(args.signature, 5, "--signature"))
+    n, kappa, r, s = _parse_ints(args.shape, 4, "--shape")
+    return shape_to_signature(n, kappa, r, s)
+
+
+def _prime(args: argparse.Namespace) -> Optional[int]:
+    if args.prime is not None:
+        return validated_prime(args.prime)
+    env = os.environ.get("BORDERCERT_PRIME")
+    if env:
+        if not env.strip().isdigit():
+            raise ArgumentError(f"BORDERCERT_PRIME must be an integer, got {env!r}")
+        return validated_prime(int(env.strip()))
+    return None
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    flags = functools.partial(argparse.ArgumentParser, add_help=False)
+    verbose = flags()
+    verbose.add_argument("-v", "--verbose", action="count", default=0)
+    located = flags(parents=[verbose])
+    group = located.add_mutually_exclusive_group(required=True)
+    group.add_argument("--signature", help="n,r,s,delta,w")
+    group.add_argument("--shape", help="n,kappa,r,s (converted to a signature)")
+    seed = flags()
+    seed.add_argument("--seed", type=int, default=1)
+    trials = flags(parents=[seed])
+    trials.add_argument("--trials", type=_trial_count, default=3)
+    trials.add_argument("--budget", type=int, default=SYMBOLIC_BUDGET)
+    field = flags()
+    field.add_argument("--field", choices=("exact", "prime"), default="exact")
+    field.add_argument("--prime", type=int, default=None, help="modulus for --field prime")
+    report = flags(parents=[trials, field])
+    report.add_argument("--no-timings", action="store_true", help="omit timings from output")
+
     parser = argparse.ArgumentParser(
         prog="bordercert",
         description="Construct, modify, verify, and certify a family of border bases.",
@@ -110,80 +100,38 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("inspect", help="structural summary of one signature")
-    _add_signature_flags(p)
-    p.add_argument("-v", "--verbose", action="count", default=0)
+    p = sub.add_parser("inspect", parents=[located], help="structural summary of one signature")
     p.add_argument("--json", metavar="PATH", help="write the summary as JSON")
 
-    p = sub.add_parser("modify", help="emit the target-assignment dump")
-    _add_signature_flags(p)
-    p.add_argument("-v", "--verbose", action="count", default=0)
+    p = sub.add_parser("modify", parents=[located], help="emit the target-assignment dump")
     p.add_argument(
         "--dump-targets",
         metavar="PATH",
         help="also write the dump to a file (stdout either way)",
     )
 
-    p = sub.add_parser("verify", help="border-basis check of the modified system")
-    _add_signature_flags(p)
-    p.add_argument("-v", "--verbose", action="count", default=0)
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--budget", type=int, default=SYMBOLIC_BUDGET)
-    _add_field_flags(p)
+    sub.add_parser(
+        "verify", parents=[located, trials], help="border-basis check of the modified system"
+    )
 
-    p = sub.add_parser("tangent", help="tangent dimension at one specialization")
-    _add_signature_flags(p)
-    p.add_argument("-v", "--verbose", action="count", default=0)
-    p.add_argument("--seed", type=int, default=1)
-    _add_field_flags(p)
+    sub.add_parser(
+        "tangent", parents=[located, seed, field], help="tangent dimension at one specialization"
+    )
 
-    p = sub.add_parser("certify", help="full certification pipeline")
-    _add_signature_flags(p)
-    p.add_argument("-v", "--verbose", action="count", default=0)
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--budget", type=int, default=SYMBOLIC_BUDGET)
+    p = sub.add_parser("certify", parents=[located, report], help="full certification pipeline")
     p.add_argument("--json", metavar="PATH", help="write the report as JSON")
-    p.add_argument("--no-timings", action="store_true", help="omit timings from output")
-    _add_field_flags(p)
 
-    p = sub.add_parser("batch", help="certify every signature in a file")
+    p = sub.add_parser("batch", parents=[verbose, report], help="certify every signature in a file")
     p.add_argument("input", help="file with one signature n,r,s,delta,w per line")
-    p.add_argument("-v", "--verbose", action="count", default=0)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--budget", type=int, default=SYMBOLIC_BUDGET)
     p.add_argument("--json", metavar="PATH", help="write JSON lines to a file")
-    p.add_argument("--no-timings", action="store_true")
-    _add_field_flags(p)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.command,
-        signature=getattr(args, "signature", None),
-        shape=getattr(args, "shape", None),
-        trials=getattr(args, "trials", 3),
-        seed=getattr(args, "seed", 1),
-        field=getattr(args, "field", "exact"),
-        prime=getattr(args, "prime", None),
-        json_path=getattr(args, "json", None),
-        dump_path=getattr(args, "dump_targets", None),
-        input_path=getattr(args, "input", None),
-        budget=getattr(args, "budget", SYMBOLIC_BUDGET),
-        include_timings=not getattr(args, "no_timings", False),
-        jobs=getattr(args, "jobs", 1),
-        verbosity=getattr(args, "verbose", 0),
-    )
-
-
-def _cmd_inspect(config: RunConfig) -> int:
-    info = inspect_signature(config.resolved_signature())
-    if config.json_path:
-        with open(config.json_path, "w") as f:
+def _cmd_inspect(args: argparse.Namespace) -> int:
+    info = inspect_signature(_signature(args))
+    if args.json:
+        with open(args.json, "w") as f:
             json.dump(info, f, indent=2)
             f.write("\n")
     print(f"signature  {tuple(info['signature'])}")
@@ -194,83 +142,73 @@ def _cmd_inspect(config: RunConfig) -> int:
     print(f"trailing   {', '.join(info['trailing'])}")
     print(f"leadTargets {', '.join(info['leadTargets'])}")
     print(f"deepTargets {', '.join(info['deepTargets'])}")
-    if config.verbosity > 0:
+    if args.verbose > 0:
         print(f"basis      {', '.join(info['basis'])}")
         print(f"border     {', '.join(info['border'])}")
         print(f"anchors    {', '.join(info['translationAnchors'])}")
     return EXIT_OK
 
 
-def _cmd_modify(config: RunConfig) -> int:
-    oid = build(config.resolved_signature())
+def _cmd_modify(args: argparse.Namespace) -> int:
+    oid = build(_signature(args))
     text = render_targets(oid, build_targets(oid)) + "\n"
     sys.stdout.write(text)
-    if config.dump_path:
-        with open(config.dump_path, "w") as f:
+    if args.dump_targets:
+        with open(args.dump_targets, "w") as f:
             f.write(text)
     return EXIT_OK
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    prime = config.resolved_prime()
-    oid = build(config.resolved_signature())
-    registry = IndeterminateRegistry(oid)
-    system = build_generic_modification(oid, registry)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    _, registry, system = generic_system(_signature(args))
+    if system.total_tail_terms() <= args.budget:
+        checks = [("symbolic", system)]
+    else:
+        # specialized tails are the same integers in both fields, so the
+        # check cannot depend on the field
+        checks = [
+            (f"seed {seed}", specialize_system(system, random_assignment(registry, seed)))
+            for seed in range(args.seed, args.seed + args.trials)
+        ]
     ok_all = True
-    if system.total_tail_terms() <= config.budget:
-        ok, failures = is_border_basis(system)
-        ok_all = ok
-        print(f"symbolic border-basis check: {'ok' if ok else 'FAILED'}")
+    for label, checked in checks:
+        ok, failures = is_border_basis(checked)
+        ok_all = ok_all and ok
+        print(f"{label} border-basis check: {'ok' if ok else 'FAILED'}")
         for pair, residue in failures[:5]:
             print(f"  pair {pair}: residue {residue}", file=sys.stderr)
-    else:
-        for k in range(config.trials):
-            seed = config.seed + k
-            spec = specialize_system(
-                system,
-                random_assignment(registry, seed),
-                field=config.field,
-                prime=prime,
-            )
-            ok, failures = is_border_basis(spec)
-            ok_all = ok_all and ok
-            print(f"seed {seed} border-basis check: {'ok' if ok else 'FAILED'}")
-            for pair, residue in failures[:5]:
-                print(f"  pair {pair}: residue {residue}", file=sys.stderr)
     return EXIT_OK if ok_all else EXIT_INCONCLUSIVE
 
 
-def _cmd_tangent(config: RunConfig) -> int:
-    prime = config.resolved_prime()
-    oid = build(config.resolved_signature())
-    registry = IndeterminateRegistry(oid)
-    system = build_generic_modification(oid, registry)
+def _cmd_tangent(args: argparse.Namespace) -> int:
+    prime = _prime(args)
+    oid, registry, system = generic_system(_signature(args))
     spec = specialize_system(
         system,
-        random_assignment(registry, config.seed),
-        field=config.field,
+        random_assignment(registry, args.seed),
+        field=args.field,
         prime=prime,
     )
     tangent = tangent_dimension(spec)
     print(f"tangentDim {tangent}")
     print(f"dimU       {dim_U(oid)}")
-    print(f"field      {config.field}")
-    print(f"seed       {config.seed}")
+    print(f"field      {args.field}")
+    print(f"seed       {args.seed}")
     return EXIT_OK
 
 
-def _cmd_certify(config: RunConfig) -> int:
+def _cmd_certify(args: argparse.Namespace) -> int:
     report = certify(
-        config.resolved_signature(),
-        trials=config.trials,
-        field_kind=config.field,
-        seed=config.seed,
-        prime=config.resolved_prime(),
-        budget=config.budget,
+        _signature(args),
+        trials=args.trials,
+        field_kind=args.field,
+        seed=args.seed,
+        prime=_prime(args),
+        budget=args.budget,
     )
-    payload = report_to_json_dict(report, include_timings=config.include_timings)
-    if config.json_path:
-        with open(config.json_path, "w") as f:
+    payload = report_to_json_dict(report, include_timings=not args.no_timings)
+    if args.json:
+        with open(args.json, "w") as f:
             json.dump(payload, f, indent=2)
             f.write("\n")
     print(f"signature     {report.signature}")
@@ -284,59 +222,40 @@ def _cmd_certify(config: RunConfig) -> int:
     return EXIT_OK if report.verdict != "INCONCLUSIVE" else EXIT_INCONCLUSIVE
 
 
-def _batch_entry(task) -> dict:
-    line, trials, field_kind, seed, prime, budget, include_timings = task
+def _batch_entry(line: str, include_timings: bool, **settings) -> Tuple[dict, bool]:
+    """One line's JSON object, and whether it hit an internal invariant violation."""
     try:
-        n, r, s, delta, w = _parse_ints(line, 5, "signature line")
-        report = certify(
-            Signature(n, r, s, delta, w),
-            trials=trials,
-            field_kind=field_kind,
-            seed=seed,
-            prime=prime,
-            budget=budget,
-        )
-        return report_to_json_dict(report, include_timings=include_timings)
+        signature = Signature(*_parse_ints(line, 5, "signature line"))
+        report = certify(signature, **settings)
+        return report_to_json_dict(report, include_timings=include_timings), False
     except Exception as exc:  # one bad signature must not abort the batch
-        return {"signature": line, "error": f"{type(exc).__name__}: {exc}"}
+        error = {"signature": line, "error": f"{type(exc).__name__}: {exc}"}
+        return error, isinstance(exc, InternalInvariantError)
 
 
-def _cmd_batch(config: RunConfig) -> int:
-    prime = config.resolved_prime()
-    assert config.input_path is not None
-    with open(config.input_path) as f:
+def _cmd_batch(args: argparse.Namespace) -> int:
+    run_line = functools.partial(
+        _batch_entry,
+        include_timings=not args.no_timings,
+        trials=args.trials,
+        field_kind=args.field,
+        seed=args.seed,
+        prime=_prime(args),
+        budget=args.budget,
+    )
+    with open(args.input) as f:
         lines = [ln.strip() for ln in f]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    tasks = [
-        (
-            ln,
-            config.trials,
-            config.field,
-            config.seed,
-            prime,
-            config.budget,
-            config.include_timings,
-        )
-        for ln in lines
-    ]
-    jobs = max(1, config.jobs)
-    if jobs == 1 or len(tasks) <= 1:
-        results = [_batch_entry(t) for t in tasks]
+    jobs = max(1, args.jobs)
+    if jobs == 1 or len(lines) <= 1:
+        results = [run_line(ln) for ln in lines]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_batch_entry, tasks))
-    out = sys.stdout
-    close = False
-    if config.json_path:
-        out = open(config.json_path, "w")
-        close = True
-    try:
-        for result in results:
-            out.write(json.dumps(result) + "\n")
-    finally:
-        if close:
-            out.close()
-    return EXIT_OK
+            results = list(pool.map(run_line, lines))
+    with open(args.json, "w") if args.json else contextlib.nullcontext(sys.stdout) as out:
+        for payload, _ in results:
+            out.write(json.dumps(payload) + "\n")
+    return EXIT_INTERNAL if any(internal for _, internal in results) else EXIT_OK
 
 
 _COMMANDS = {
@@ -356,12 +275,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_ARGUMENT if exc.code not in (0, None) else EXIT_OK
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[config.subcommand](config)
-    except ArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGUMENT
-    except OSError as exc:
+        return _COMMANDS[args.command](args)
+    except (ArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGUMENT
     except InternalInvariantError as exc:

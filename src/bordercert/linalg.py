@@ -10,7 +10,6 @@ the only place where prime mode differs from exact mode.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List
 
@@ -123,9 +122,11 @@ def dedupe_rows(rows: Iterable[SparseRow], prime: int = 0) -> List[SparseRow]:
             inv = pow(items[0][1], -1, prime)
             key = tuple((c, (n * inv) % prime) for c, n in items)
         else:
-            items = sorted(row.items())
-            inv = Fraction(1) / Fraction(items[0][1])
-            key = tuple((c, Fraction(v) * inv) for c, v in items)
+            items = sorted(_to_integer_row(row).items())
+            if not items:
+                continue
+            sign = 1 if items[0][1] > 0 else -1
+            key = tuple((c, sign * n) for c, n in items)
         if key in seen:
             continue
         seen.add(key)

@@ -16,18 +16,16 @@ monomials that will actually carry targets (`s_lead` and `s_deep`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .monomial import (
     ArgumentError,
     InternalInvariantError,
     Monomial,
-    SegmentSpec,
     binomial,
     cmp_lex,
     monomials_of,
     negdeglex_key,
-    segment,
 )
 
 

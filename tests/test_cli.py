@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from bordercert import RunConfig, main
-from bordercert.monomial import ArgumentError
+from bordercert import cli
+from bordercert.cli import _build_parser, main
+from bordercert.monomial import InternalInvariantError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -22,30 +23,30 @@ def run(argv, capsys):
 
 
 # ---------------------------------------------------------------------------
-# RunConfig
+# flag validation and defaults
 
 
-def test_runconfig_requires_exactly_one_locator():
-    with pytest.raises(ArgumentError):
-        RunConfig(subcommand="inspect")
-    with pytest.raises(ArgumentError):
-        RunConfig(subcommand="inspect", signature="5,2,3,3,1", shape="5,2,2,3")
-    config = RunConfig(subcommand="inspect", signature="5,2,3,3,1")
-    assert config.trials == 3 and config.seed == 1 and config.field == "exact"
+def test_signature_and_shape_are_exclusive_and_required(capsys):
+    assert run(["certify", "--signature", "5,2,3,3,1", "--shape", "5,2,2,3"], capsys)[0] == 2
+    assert run(["certify"], capsys)[0] == 2
 
 
-def test_runconfig_resolves_shape():
-    config = RunConfig(subcommand="inspect", shape="5,2,2,3")
-    assert config.resolved_signature().as_tuple() == (5, 2, 3, 3, 1)
+def test_bad_field_and_trials_are_argument_errors(capsys, tmp_path):
+    assert run(["certify", "--signature", "5,2,3,3,1", "--field", "float"], capsys)[0] == 2
+    for command in ("certify", "verify"):
+        code, _, err = run([command, "--signature", "5,2,3,3,1", "--trials", "0"], capsys)
+        assert code == 2
+        assert "trials must be at least 1" in err
+    batch_file = tmp_path / "sigs.txt"
+    batch_file.write_text("5,2,3,3,1\n")
+    code, out, _ = run(["batch", str(batch_file), "--trials", "0"], capsys)
+    assert code == 2
+    assert out == ""
 
 
-def test_runconfig_rejects_bad_values():
-    with pytest.raises(ArgumentError):
-        RunConfig(subcommand="certify", signature="5,2,3,3,1", field="float")
-    with pytest.raises(ArgumentError):
-        RunConfig(subcommand="certify", signature="5,2,3,3,1", trials=0)
-    with pytest.raises(ArgumentError):
-        RunConfig(subcommand="inspect", signature="5,2,3").resolved_signature()
+def test_parser_defaults():
+    args = _build_parser().parse_args(["certify", "--signature", "5,2,3,3,1"])
+    assert args.trials == 3 and args.seed == 1 and args.field == "exact"
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +95,18 @@ def test_verify_symbolic_ok(capsys):
     code, out, _ = run(["verify", "--signature", "4,3,4,2,1"], capsys)
     assert code == 0
     assert "symbolic border-basis check: ok" in out
+
+
+def test_verify_specialized_checks_each_seed(capsys):
+    code, out, _ = run(
+        ["verify", "--signature", "5,2,3,3,1", "--budget", "0", "--trials", "2"], capsys
+    )
+    assert code == 0
+    assert out == "seed 1 border-basis check: ok\nseed 2 border-basis check: ok\n"
+
+
+def test_verify_takes_no_field_flags(capsys):
+    assert run(["verify", "--signature", "5,2,3,3,1", "--field", "prime"], capsys)[0] == 2
 
 
 def test_tangent_single_specialization(capsys):
@@ -232,6 +245,28 @@ def test_batch_parallel_matches_serial(capsys, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_batch_exits_4_on_an_internal_error(capsys, tmp_path, monkeypatch):
+    real_certify = cli.certify
+
+    def certify(sig, **settings):
+        if sig.as_tuple() == (5, 2, 3, 3, 1):
+            raise InternalInvariantError("planted")
+        return real_certify(sig, **settings)
+
+    monkeypatch.setattr(cli, "certify", certify)
+    batch_file = tmp_path / "sigs.txt"
+    batch_file.write_text("3,2,3,2,1\n5,2,3,3,1\n3,2,3,2,1\n")
+    code, out, _ = run(
+        ["batch", str(batch_file), "--trials", "1", "--jobs", "1", "--no-timings"], capsys
+    )
+    assert code == 4
+    lines = [json.loads(ln) for ln in out.splitlines()]
+    assert len(lines) == 3
+    assert lines[0]["signature"] == [3, 2, 3, 2, 1]
+    assert lines[2] == lines[0]
+    assert lines[1] == {"signature": "5,2,3,3,1", "error": "InternalInvariantError: planted"}
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
 
@@ -244,6 +279,7 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "dimU       86" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
 
 
 if __name__ == "__main__":

@@ -1,0 +1,47 @@
+"""Every name a package module imports is used in that module.
+
+No linter ships with the test dependencies, so this reads each module's
+syntax tree with the standard library.  `__init__.py` is skipped because it
+imports names only to re-export them.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bordercert"
+
+
+def _unused_imports(source: str):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_detected():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "from typing import List, Optional\n"
+        "x: List = os.sep\n"
+    )
+    assert _unused_imports(source) == [(3, "Optional")]
+
+
+def test_every_imported_name_is_used():
+    unused = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in _unused_imports(path.read_text())
+    ]
+    assert unused == []
