@@ -3,10 +3,10 @@
 A border system stores one generator per border monomial in the rewrite form
 g_j = b_j - sum_i Y_ij t_i, so b_j may be replaced by its *tail*
 sum_i Y_ij t_i.  The coefficients Y_ij live in any commutative ring R that
-supports +, -, * and truthiness as zero test: sparse polynomials in the
-named coefficients, or integers once those are specialized at an integer
-point.  A system specialized for prime mode holds the same integers and only
-records the modulus that the tangent rank works in.
+supports +, -, * and truthiness as zero test: sparse integer polynomials in
+the named coefficients, or integers once those are specialized at an integer
+point.  Specialized systems are the same in both fields; the modulus of prime
+mode is an argument of the tangent rank, not a property of the system.
 
 `reduce` rewrites an arbitrary element to one supported on basis monomials.
 For input supported on the basis and its border a single substitution sweep
@@ -17,10 +17,9 @@ one variable at a time until it reaches that region.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .coeffring import DEFAULT_PRIME, CoeffPoly, IndeterminateRegistry, _integer_assignment
+from .coeffring import CoeffPoly, IndeterminateRegistry, _integer_assignment
 from .monomial import ArgumentError, InternalInvariantError, Monomial, negdeglex_key
 from .orderideal import NeighborPair, OrderIdealData, neighbor_pairs
 
@@ -29,14 +28,13 @@ from .orderideal import NeighborPair, OrderIdealData, neighbor_pairs
 class RingSpec:
     """Which coefficient ring a border system's tails live in."""
 
-    kind: str  # "poly" | "rational" | "prime"; the last two hold integer tails
+    kind: str  # "poly" | "rational"; the latter holds integer tails
     registry: Optional[IndeterminateRegistry] = None
-    prime: Optional[int] = None
 
     def one(self):
         if self.kind == "poly":
             return CoeffPoly.constant(self.registry, 1)
-        if self.kind in ("rational", "prime"):
+        if self.kind == "rational":
             return 1
         raise ArgumentError(f"unknown ring kind {self.kind!r}")
 
@@ -136,15 +134,13 @@ def _render_coefficient_times_monomial(c, m: Monomial) -> Tuple[str, bool]:
             return (text if mono == "1" else f"{text}*{mono}"), negative
         text = str(c)
         return (text if mono == "1" else f"({text})*{mono}"), False
-    f = Fraction(c)
-    negative = f < 0
-    f = abs(f)
-    num = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    negative = c < 0
+    c = abs(c)
     if mono == "1":
-        return num, negative
-    if f == 1:
+        return str(c), negative
+    if c == 1:
         return mono, negative
-    return f"{num}*{mono}", negative
+    return f"{c}*{mono}", negative
 
 
 class BorderSystem:
@@ -333,28 +329,13 @@ def is_border_basis(sys: BorderSystem):
     return (not failures, failures)
 
 
-def specialize_system(
-    sys: BorderSystem,
-    assignment,
-    field: str = "exact",
-    prime: Optional[int] = None,
-) -> BorderSystem:
-    """Evaluate every tail coefficient at an integer point.
-
-    The tails are integers in both fields; ``field="prime"`` only records the
-    modulus that the tangent rank is computed in.
-    """
+def specialize_system(sys: BorderSystem, assignment) -> BorderSystem:
+    """Evaluate every tail coefficient at an integer point."""
     if sys.ring.kind != "poly":
         raise ArgumentError("only systems with polynomial coefficients can be specialized")
     values = _integer_assignment(sys.ring.registry, assignment)
-    if field == "exact":
-        ring = RATIONAL_RING
-    elif field == "prime":
-        ring = RingSpec("prime", prime=prime if prime is not None else DEFAULT_PRIME)
-    else:
-        raise ArgumentError(f"unknown field {field!r} (use 'exact' or 'prime')")
     tails = [{i: y.integer_value(values) for i, y in tail.items()} for tail in sys.tails]
-    return BorderSystem(sys.oid, tails, ring)
+    return BorderSystem(sys.oid, tails, RATIONAL_RING)
 
 
 def power_in_ideal(sys: BorderSystem, k: int) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .borderbasis import (
@@ -20,7 +19,7 @@ from .borderbasis import (
     power_in_ideal,
     specialize_system,
 )
-from .coeffring import IndeterminateRegistry, validated_prime
+from .coeffring import DEFAULT_PRIME, IndeterminateRegistry, validated_prime
 from .modification import build_generic_modification
 from .monomial import ArgumentError
 from .orderideal import Signature, build
@@ -51,7 +50,7 @@ class CertificationReport:
 
 
 def report_to_json_dict(report: CertificationReport, include_timings: bool = True) -> dict:
-    """Schema-stable dict: fixed key order, exact integers, 'p/q' rationals."""
+    """Schema-stable dict: fixed key order, exact integers."""
     out = {
         "signature": list(report.signature.as_tuple()),
         "mu": report.mu,
@@ -74,19 +73,7 @@ def report_to_json_dict(report: CertificationReport, include_timings: bool = Tru
     if include_timings:
         out["timings"] = {k: round(v, 6) for k, v in report.timings.items()}
     out["toolVersion"] = report.toolVersion
-    return _jsonable(out)
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    return out
 
 
 def generic_system(sig: Signature):
@@ -94,6 +81,15 @@ def generic_system(sig: Signature):
     oid = build(sig)
     registry = IndeterminateRegistry(oid)
     return oid, registry, build_generic_modification(oid, registry)
+
+
+def rank_modulus(field_kind: str, prime: Optional[int] = None) -> int:
+    """The `prime` argument of the tangent rank: 0 for exact, else the modulus."""
+    if field_kind not in ("exact", "prime"):
+        raise ArgumentError(f"unknown field {field_kind!r} (use 'exact' or 'prime')")
+    if prime is not None:
+        prime = validated_prime(prime)
+    return (prime or DEFAULT_PRIME) if field_kind == "prime" else 0
 
 
 def certify(
@@ -107,10 +103,7 @@ def certify(
     """Run the whole pipeline for one signature."""
     if trials < 1:
         raise ArgumentError("at least one trial is required")
-    if field_kind not in ("exact", "prime"):
-        raise ArgumentError(f"unknown field {field_kind!r} (use 'exact' or 'prime')")
-    if prime is not None:
-        prime = validated_prime(prime)
+    modulus = rank_modulus(field_kind, prime)
     timings: Dict[str, float] = {}
     evidence: List[str] = []
 
@@ -143,7 +136,7 @@ def certify(
     for k in range(trials):
         trial_seed = seed + k
         assignment = random_assignment(registry, trial_seed)
-        specialized = specialize_system(system, assignment, field=field_kind, prime=prime)
+        specialized = specialize_system(system, assignment)
         if mode == "specialized":
             ok, failures = is_border_basis(specialized)
             if not ok:
@@ -161,7 +154,7 @@ def certify(
             tp = time.perf_counter()
             powers = [power_in_ideal(specialized, var) for var in range(1, sig.n + 1)]
             timings["powers"] = time.perf_counter() - tp
-        tangent = tangent_dimension(specialized)
+        tangent = tangent_dimension(specialized, modulus)
         trial_rows.append({"seed": trial_seed, "tangentDim": tangent, "field": field_kind})
     timings["tangent"] = time.perf_counter() - t0
 
@@ -210,34 +203,32 @@ def inspect_signature(sig: Signature) -> dict:
     """Pure structural summary of one signature; no linear algebra."""
     oid = build(sig)
     fr = frame(oid)
-    return _jsonable(
-        {
-            "signature": list(sig.as_tuple()),
-            "minimalLeadMonomial": str(sig.minimal_lead_monomial()),
-            "mu": oid.mu,
-            "nu": oid.nu,
-            "hilbert": list(oid.hilbert),
-            "ell": oid.ell,
-            "tau": oid.tau,
-            "gamma": oid.gamma,
-            "eta": fr.eta,
-            "dimU": dim_U(oid),
-            "principalDim": sig.n * oid.mu,
-            "basis": [str(m) for m in oid.basis],
-            "border": [str(m) for m in oid.border],
-            "leading": [str(m) for m in oid.leading],
-            "trailing": [str(m) for m in oid.trailing],
-            "targetPool": [str(m) for m in oid.tar_all],
-            "targetPoolTruncated": [str(m) for m in oid.tar_prime],
-            "targetSeeds": [str(m) for m in oid.tar_double_prime],
-            "leadTargets": [str(m) for m in oid.s_lead],
-            "deepTargets": [str(m) for m in oid.s_deep],
-            "translationAnchors": {
-                str(alpha): str(b) for alpha, b in sorted(fr.anchors.items())
-            },
-            "translationShifts": {
-                str(alpha): [str(m) for m in ms]
-                for alpha, ms in sorted(fr.delta_sets.items())
-            },
-        }
-    )
+    return {
+        "signature": list(sig.as_tuple()),
+        "minimalLeadMonomial": str(sig.minimal_lead_monomial()),
+        "mu": oid.mu,
+        "nu": oid.nu,
+        "hilbert": list(oid.hilbert),
+        "ell": oid.ell,
+        "tau": oid.tau,
+        "gamma": oid.gamma,
+        "eta": fr.eta,
+        "dimU": dim_U(oid),
+        "principalDim": sig.n * oid.mu,
+        "basis": [str(m) for m in oid.basis],
+        "border": [str(m) for m in oid.border],
+        "leading": [str(m) for m in oid.leading],
+        "trailing": [str(m) for m in oid.trailing],
+        "targetPool": [str(m) for m in oid.tar_all],
+        "targetPoolTruncated": [str(m) for m in oid.tar_prime],
+        "targetSeeds": [str(m) for m in oid.tar_double_prime],
+        "leadTargets": [str(m) for m in oid.s_lead],
+        "deepTargets": [str(m) for m in oid.s_deep],
+        "translationAnchors": {
+            str(alpha): str(b) for alpha, b in sorted(fr.anchors.items())
+        },
+        "translationShifts": {
+            str(alpha): [str(m) for m in ms]
+            for alpha, ms in sorted(fr.delta_sets.items())
+        },
+    }

@@ -24,6 +24,7 @@ from .certify import (
     certify,
     generic_system,
     inspect_signature,
+    rank_modulus,
     report_to_json_dict,
 )
 from .coeffring import validated_prime
@@ -64,6 +65,11 @@ def _signature(args: argparse.Namespace) -> Signature:
 
 
 def _prime(args: argparse.Namespace) -> Optional[int]:
+    """The --field prime modulus from --prime or BORDERCERT_PRIME; None means the default."""
+    if args.field != "prime":
+        if args.prime is not None:
+            raise ArgumentError("--prime is only valid with --field prime")
+        return None
     if args.prime is not None:
         return validated_prime(args.prime)
     env = os.environ.get("BORDERCERT_PRIME")
@@ -164,8 +170,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if system.total_tail_terms() <= args.budget:
         checks = [("symbolic", system)]
     else:
-        # specialized tails are the same integers in both fields, so the
-        # check cannot depend on the field
         checks = [
             (f"seed {seed}", specialize_system(system, random_assignment(registry, seed)))
             for seed in range(args.seed, args.seed + args.trials)
@@ -181,15 +185,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_tangent(args: argparse.Namespace) -> int:
-    prime = _prime(args)
+    modulus = rank_modulus(args.field, _prime(args))
     oid, registry, system = generic_system(_signature(args))
-    spec = specialize_system(
-        system,
-        random_assignment(registry, args.seed),
-        field=args.field,
-        prime=prime,
-    )
-    tangent = tangent_dimension(spec)
+    spec = specialize_system(system, random_assignment(registry, args.seed))
+    tangent = tangent_dimension(spec, modulus)
     print(f"tangentDim {tangent}")
     print(f"dimU       {dim_U(oid)}")
     print(f"field      {args.field}")
@@ -246,8 +245,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     with open(args.input) as f:
         lines = [ln.strip() for ln in f]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    jobs = max(1, args.jobs)
-    if jobs == 1 or len(lines) <= 1:
+    # fork starts every worker at the first submit, so never ask for more than lines
+    jobs = min(max(1, args.jobs), len(lines))
+    if jobs <= 1:
         results = [run_line(ln) for ln in lines]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

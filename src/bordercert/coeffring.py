@@ -2,25 +2,24 @@
 
 Two kinds of scalars appear downstream:
 
-* `CoeffPoly`: sparse polynomials over the rationals in named indeterminates —
-  one tail coefficient C[i,j] per (trailing monomial, leading monomial) slot
-  plus one free target coefficient theta[q] per seed target term,
-* plain integers: the values of those polynomials at an integer point.  Every
-  coefficient of the generic polynomials is an integer, so a specialized
-  system is integral; prime mode reduces these integers modulo a large
-  configured prime only when it computes a rank.
+* `CoeffPoly`: sparse polynomials with integer coefficients in named
+  indeterminates — one tail coefficient C[i,j] per (trailing monomial,
+  leading monomial) slot plus one free target coefficient theta[q] per seed
+  target term,
+* plain integers: the values of those polynomials at an integer point.  The
+  construction only adds, multiplies and shifts, so integers suffice
+  everywhere; prime mode reduces them modulo a large configured prime only
+  when it computes a rank.
 
 No floating point appears anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Mapping, Tuple, Union
+from numbers import Rational
+from typing import Dict, Mapping, Tuple
 
-from .monomial import ArgumentError, InternalInvariantError
-
-Rational = Union[int, Fraction]
+from .monomial import ArgumentError
 
 DEFAULT_PRIME = 2**61 - 1
 MIN_PRIME = 2**31
@@ -109,27 +108,25 @@ class IndeterminateRegistry:
         return self.names[ind_id]
 
 
-def _as_fraction(value: Rational) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _as_int(value) -> int:
     if isinstance(value, int):
-        return Fraction(value)
-    raise ArgumentError(f"expected an exact rational, got {type(value).__name__}")
+        return value
+    raise ArgumentError(f"expected an integer, got {type(value).__name__}")
 
 
 ExponentKey = Tuple[Tuple[int, int], ...]
 
 
 class CoeffPoly:
-    """A sparse polynomial over the rationals in registry indeterminates.
+    """A sparse polynomial with integer coefficients in registry indeterminates.
 
     Terms map a sorted tuple of (indeterminate id, exponent) pairs to a
-    nonzero rational coefficient; the empty tuple is the constant term.
+    nonzero integer coefficient; the empty tuple is the constant term.
     """
 
     __slots__ = ("registry", "terms")
 
-    def __init__(self, registry: IndeterminateRegistry, terms: Dict[ExponentKey, Fraction]):
+    def __init__(self, registry: IndeterminateRegistry, terms: Dict[ExponentKey, int]):
         self.registry = registry
         self.terms = terms
 
@@ -140,15 +137,15 @@ class CoeffPoly:
         return cls(registry, {})
 
     @classmethod
-    def constant(cls, registry: IndeterminateRegistry, value: Rational) -> "CoeffPoly":
-        v = _as_fraction(value)
+    def constant(cls, registry: IndeterminateRegistry, value: int) -> "CoeffPoly":
+        v = _as_int(value)
         return cls(registry, {(): v} if v else {})
 
     @classmethod
     def indeterminate(cls, registry: IndeterminateRegistry, ind_id: int) -> "CoeffPoly":
         if not 0 <= ind_id < len(registry):
             raise ArgumentError(f"indeterminate id {ind_id} out of range")
-        return cls(registry, {((ind_id, 1),): Fraction(1)})
+        return cls(registry, {((ind_id, 1),): 1})
 
     # ------------------------------------------------------------ ring ops
 
@@ -174,13 +171,13 @@ class CoeffPoly:
         return self + (-other)
 
     def __mul__(self, other) -> "CoeffPoly":
-        if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
+        if not isinstance(other, CoeffPoly):
+            f = _as_int(other)
             if not f:
                 return CoeffPoly.zero(self.registry)
             return CoeffPoly(self.registry, {k: c * f for k, c in self.terms.items()})
         self._check_registry(other)
-        terms: Dict[ExponentKey, Fraction] = {}
+        terms: Dict[ExponentKey, int] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 key = _merge_keys(k1, k2)
@@ -197,13 +194,9 @@ class CoeffPoly:
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.terms == (CoeffPoly.constant(self.registry, other).terms)
-        return (
-            isinstance(other, CoeffPoly)
-            and self.registry is other.registry
-            and self.terms == other.terms
-        )
+        if not isinstance(other, CoeffPoly):
+            return self.terms == CoeffPoly.constant(self.registry, other).terms
+        return self.registry is other.registry and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
@@ -211,8 +204,8 @@ class CoeffPoly:
     # ------------------------------------------------------------- queries
 
     @property
-    def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+    def constant_term(self) -> int:
+        return self.terms.get((), 0)
 
     def degree(self) -> int:
         """Total degree in the indeterminates; -1 for the zero polynomial."""
@@ -225,26 +218,10 @@ class CoeffPoly:
 
     # -------------------------------------------------------- specialization
 
-    def specialize(self, assignment: Mapping) -> Fraction:
-        """Exact rational value of the polynomial at a point."""
-        values = _normalize_assignment(self.registry, assignment)
-        total = Fraction(0)
-        for key, c in self.terms.items():
-            v = c
-            for ind, e in key:
-                if ind not in values:
-                    raise ArgumentError(f"no value assigned to {self.registry.name_of(ind)}")
-                v *= values[ind] ** e
-            total += v
-        return total
-
     def integer_value(self, values: Mapping[int, int]) -> int:
         """Value at an integer point given for every indeterminate id."""
         total = 0
-        for key, c in self.terms.items():
-            if c.denominator != 1:
-                raise InternalInvariantError(f"coefficient {c} of {self} is not an integer")
-            v = c.numerator
+        for key, v in self.terms.items():
             for ind, e in key:
                 v *= values[ind] ** e
             total += v
@@ -252,7 +229,7 @@ class CoeffPoly:
 
     def partial(self, ind_id: int) -> "CoeffPoly":
         """Formal partial derivative with respect to one indeterminate."""
-        terms: Dict[ExponentKey, Fraction] = {}
+        terms: Dict[ExponentKey, int] = {}
         for key, c in self.terms.items():
             for pos, (ind, e) in enumerate(key):
                 if ind == ind_id:
@@ -276,11 +253,11 @@ class CoeffPoly:
                 name = self.registry.name_of(ind)
                 factors.append(name if e == 1 else f"{name}^{e}")
             if not factors:
-                body = _fraction_str(abs(c))
+                body = str(abs(c))
             elif abs(c) == 1:
                 body = "*".join(factors)
             else:
-                body = _fraction_str(abs(c)) + "*" + "*".join(factors)
+                body = f"{abs(c)}*" + "*".join(factors)
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
             else:
@@ -302,26 +279,15 @@ def _merge_keys(k1: ExponentKey, k2: ExponentKey) -> ExponentKey:
     return tuple(sorted(merged.items()))
 
 
-def _fraction_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def _normalize_assignment(registry: IndeterminateRegistry, assignment: Mapping) -> Dict[int, Fraction]:
-    """Accept keys that are ids or display names; values must be exact rationals."""
-    values: Dict[int, Fraction] = {}
+def _integer_assignment(registry: IndeterminateRegistry, assignment: Mapping) -> Dict[int, int]:
+    """Validate a point once: every indeterminate, keyed by id or display name,
+    gets an integer value (an integral rational is accepted)."""
+    values: Dict[int, int] = {}
     for key, raw in assignment.items():
         ind = registry.id_of(key) if isinstance(key, str) else int(key)
-        values[ind] = _as_fraction(raw)
-    return values
-
-
-def _integer_assignment(registry: IndeterminateRegistry, assignment: Mapping) -> Dict[int, int]:
-    """Validate a point once: every indeterminate gets an integer value."""
-    values: Dict[int, int] = {}
-    for ind, v in _normalize_assignment(registry, assignment).items():
-        if v.denominator != 1:
-            raise ArgumentError(f"{registry.name_of(ind)} must take an integer value, got {v}")
-        values[ind] = v.numerator
+        if not isinstance(raw, Rational) or raw.denominator != 1:
+            raise ArgumentError(f"{registry.name_of(ind)} must take an integer value, got {raw}")
+        values[ind] = int(raw)
     missing = set(range(len(registry))) - set(values)
     if missing:
         names = ", ".join(registry.name_of(i) for i in sorted(missing)[:5])

@@ -1,11 +1,11 @@
-"""Exact rank computation for sparse rational and integer matrices.
+"""Exact rank computation for sparse integer matrices.
 
-Rows are sparse mappings column -> value.  Rational ranks go through a
-fraction-free integer elimination (clear denominators once, then combine
+Rows are sparse mappings column -> integer; zero entries are ignored.  The
+rank over the rationals goes through a fraction-free elimination (combine
 rows by cross-multiplication and strip common factors), so no rounding can
-occur anywhere.  Prime mode takes integer rows, reduces their entries modulo
-the prime and uses ordinary elimination with pivots normalized to 1; that is
-the only place where prime mode differs from exact mode.
+occur anywhere.  Prime mode reduces the entries modulo the prime and uses
+ordinary elimination with pivots normalized to 1; that is the only place
+where prime mode differs from exact mode.
 """
 
 from __future__ import annotations
@@ -15,27 +15,10 @@ from typing import Dict, Iterable, List
 
 from .monomial import ArgumentError
 
-SparseRow = Dict[int, object]
+SparseRow = Dict[int, int]
 
 
-def _to_integer_row(row: SparseRow) -> Dict[int, int]:
-    # ints and Fractions both carry numerator and denominator
-    denom = 1
-    for v in row.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    out = {}
-    common = 0
-    for c, v in row.items():
-        n = v.numerator * (denom // v.denominator)
-        if n:
-            out[c] = n
-            common = gcd(common, n)
-    if common > 1:
-        out = {c: n // common for c, n in out.items()}
-    return out
-
-
-def _strip_content(row: Dict[int, int]) -> Dict[int, int]:
+def _strip_content(row: SparseRow) -> SparseRow:
     common = 0
     for n in row.values():
         common = gcd(common, n)
@@ -47,16 +30,16 @@ def _strip_content(row: Dict[int, int]) -> Dict[int, int]:
 
 
 def exact_rank(rows: Iterable[SparseRow]) -> int:
-    """Rank over the rationals of sparse rows with Fraction/int values."""
+    """Rank over the rationals of sparse integer rows."""
     pivots: Dict[int, Dict[int, int]] = {}
     rank = 0
     for raw in sorted(rows, key=len):  # sparse rows first limits fill-in
-        row = _to_integer_row(raw)
+        row = _strip_content({c: v for c, v in raw.items() if v})
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                pivots[lead] = _strip_content(row)
+                pivots[lead] = row
                 rank += 1
                 break
             pl, rl = pivot[lead], row[lead]
@@ -74,13 +57,13 @@ def exact_rank(rows: Iterable[SparseRow]) -> int:
 
 
 def modp_rank(rows: Iterable[SparseRow], prime: int) -> int:
-    """Rank over the field with `prime` elements of rows with integer values."""
+    """Rank over the field with `prime` elements of integer rows."""
     pivots: Dict[int, Dict[int, int]] = {}
     rank = 0
     for raw in sorted(rows, key=len):
         row = {}
         for c, v in raw.items():
-            n = int(v) % prime
+            n = v % prime
             if n:
                 row[c] = n
         while row:
@@ -113,7 +96,7 @@ def dedupe_rows(rows: Iterable[SparseRow], prime: int = 0) -> List[SparseRow]:
         if prime:
             items = []
             for c, v in row.items():
-                n = int(v) % prime
+                n = v % prime
                 if n:
                     items.append((c, n))
             items.sort()
@@ -122,7 +105,7 @@ def dedupe_rows(rows: Iterable[SparseRow], prime: int = 0) -> List[SparseRow]:
             inv = pow(items[0][1], -1, prime)
             key = tuple((c, (n * inv) % prime) for c, n in items)
         else:
-            items = sorted(_to_integer_row(row).items())
+            items = sorted((c, n) for c, n in _strip_content(row).items() if n)
             if not items:
                 continue
             sign = 1 if items[0][1] > 0 else -1

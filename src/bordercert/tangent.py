@@ -14,8 +14,8 @@ sufficiently general specialization, which is the certification criterion.
 Specialized systems hold integers, so every tuple is an integer vector: a
 parameter tuple is a partial derivative of the tails evaluated at the point,
 a translation tuple the reduction of a formal partial derivative of each
-generator.  A prime-mode system differs only in that its tangent rank is
-computed modulo the prime.
+generator.  Prime mode differs only in that the tangent rank is computed
+modulo the prime passed to `tangent_dimension`.
 """
 
 from __future__ import annotations
@@ -123,9 +123,10 @@ def _column(mu: int, i: int, j: int) -> int:
     return (j - 1) * mu + (i - 1)
 
 
-def tangent_dimension(sys: BorderSystem) -> int:
-    """dim of first-order deformations of the border basis at `sys`."""
-    if sys.ring.kind not in ("rational", "prime"):
+def tangent_dimension(sys: BorderSystem, prime: int = 0) -> int:
+    """dim of first-order deformations of the border basis at `sys`, with the
+    rank taken over Q (prime=0) or over F_prime."""
+    if sys.ring.kind != "rational":
         raise ArgumentError("tangent dimension needs a specialized system")
     ok, failures = is_border_basis(sys)
     if not ok:
@@ -135,12 +136,10 @@ def tangent_dimension(sys: BorderSystem) -> int:
         )
     oid = sys.oid
     mu, nu = oid.mu, oid.nu
-    one = sys.ring.one()
-    prime = sys.ring.prime if sys.ring.kind == "prime" else 0
     index_of_basis = oid.index_of_basis
-    rows: List[Dict[int, object]] = []
+    rows: List[Dict[int, int]] = []
 
-    def add(eq: Dict[int, object], col: int, c) -> None:
+    def add(eq: Dict[int, int], col: int, c: int) -> None:
         v = eq.get(col)
         v = c if v is None else v + c
         if v:
@@ -149,14 +148,14 @@ def tangent_dimension(sys: BorderSystem) -> int:
             eq.pop(col, None)
 
     for pair in sys.neighbor_pairs():
-        eqs: List[Dict[int, object]] = [dict() for _ in range(mu)]
+        eqs: List[Dict[int, int]] = [dict() for _ in range(mu)]
         for i, t in enumerate(oid.basis, start=1):
-            shifted = reduce(SpanElement.single(t.mul_var(pair.alpha), one), sys)
+            shifted = reduce(SpanElement.single(t.mul_var(pair.alpha), 1), sys)
             col = _column(mu, i, pair.j1)
             for tk, c in shifted.terms.items():
                 add(eqs[index_of_basis[tk] - 1], col, -c)
             other = t if pair.beta == 0 else t.mul_var(pair.beta)
-            shifted = reduce(SpanElement.single(other, one), sys)
+            shifted = reduce(SpanElement.single(other, 1), sys)
             col = _column(mu, i, pair.j2)
             for tk, c in shifted.terms.items():
                 add(eqs[index_of_basis[tk] - 1], col, c)

@@ -73,14 +73,12 @@ def criterion(num, description, limit_seconds=None):
         assert elapsed < limit_seconds, f"criterion {num} exceeded {limit_seconds}s"
 
 
-def _modified_specialized(sig, seed=1, field="exact"):
+def _modified_specialized(sig, seed=1):
     oid = build(sig)
     registry = IndeterminateRegistry(oid)
     system = build_generic_modification(oid, registry)
     assignment = random_assignment(registry, seed)
-    return oid, registry, specialize_system(
-        system, assignment, field=field, prime=DEFAULT_PRIME
-    )
+    return oid, registry, specialize_system(system, assignment)
 
 
 def test_criterion_1_golden_target_assignment():
@@ -181,9 +179,9 @@ def test_criterion_7_large_signature_prime_mode():
         limit_seconds=1800.0,
     ):
         sig = Signature(5, 3, 4, 3, 1)
-        oid, _, spec = _modified_specialized(sig, seed=1, field="prime")
+        oid, _, spec = _modified_specialized(sig, seed=1)
         assert dim_U(oid) == 268
-        assert tangent_dimension(spec) == 268
+        assert tangent_dimension(spec, prime=DEFAULT_PRIME) == 268
 
 
 def _deep_pool_three_ways(sig):
@@ -292,7 +290,7 @@ def test_criterion_8e_variable_powers():
     ):
         assert len(grid) >= 30
         for sig in grid:
-            _, _, spec = _modified_specialized(sig, seed=1, field="prime")
+            _, _, spec = _modified_specialized(sig, seed=1)
             for var in range(1, sig.n + 1):
                 p = power_in_ideal(spec, var)
                 if var < sig.delta:

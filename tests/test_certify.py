@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 import pytest
 
 from bordercert import (
     ArgumentError,
-    CertificationReport,
     Signature,
     __version__,
     certify,
@@ -102,27 +100,6 @@ def test_report_json_deterministic():
     a = report_to_json_dict(certify(Signature(5, 2, 3, 3, 1), trials=2), include_timings=False)
     b = report_to_json_dict(certify(Signature(5, 2, 3, 3, 1), trials=2), include_timings=False)
     assert json.dumps(a) == json.dumps(b)
-
-
-def test_rationals_render_as_quotient_strings():
-    report = CertificationReport(
-        signature=Signature(5, 2, 3, 3, 1),
-        mu=13,
-        hilbert=(1, 5, 3, 4),
-        ell=12,
-        tau=4,
-        gamma=2,
-        eta=3,
-        dimU=59,
-        principalDim=65,
-        verificationMode="symbolic",
-        powers=[Fraction(7, 2), Fraction(4, 1)],
-        trials=[],
-        verdict="INCONCLUSIVE",
-    )
-    payload = report_to_json_dict(report, include_timings=False)
-    assert payload["powers"] == ["7/2", 4]
-    assert isinstance(payload["powers"][1], int)
 
 
 def test_certify_argument_errors():

@@ -188,6 +188,19 @@ def test_prime_env_override(capsys, monkeypatch):
     assert run(["tangent", "--signature", "5,2,3,3,1", "--field", "prime"], capsys)[0] == 2
 
 
+def test_prime_flag_needs_field_prime(capsys):
+    code, _, err = run(["tangent", "--signature", "5,2,3,3,0", "--prime", "7"], capsys)
+    assert code == 2
+    assert "--prime" in err and "--field prime" in err
+
+
+def test_prime_env_ignored_under_exact_field(capsys, monkeypatch):
+    monkeypatch.setenv("BORDERCERT_PRIME", "not-a-number")
+    code, out, _ = run(["tangent", "--signature", "5,2,3,3,1"], capsys)
+    assert code == 0
+    assert "tangentDim 59" in out
+
+
 # ---------------------------------------------------------------------------
 # batch
 
@@ -243,6 +256,33 @@ def test_batch_parallel_matches_serial(capsys, tmp_path):
         assert code == 0
         outputs.append(out_file.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_batch_workers_capped_at_line_count(capsys, tmp_path, monkeypatch):
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    batch_file = tmp_path / "sigs.txt"
+    batch_file.write_text("3,2,3,2,1\n0,0,0,0,0\n")
+    code, out, _ = run(
+        ["batch", str(batch_file), "--trials", "1", "--jobs", "64", "--no-timings"], capsys
+    )
+    assert code == 0
+    assert pools == [2]
+    assert len(out.splitlines()) == 2
 
 
 def test_batch_exits_4_on_an_internal_error(capsys, tmp_path, monkeypatch):

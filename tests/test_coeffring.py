@@ -15,6 +15,7 @@ from bordercert import (
     build,
     validated_prime,
 )
+from bordercert.coeffring import _integer_assignment
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +51,7 @@ def test_registry_names_and_sizes(registry):
 
 def _poly_strategy(registry):
     ind_ids = st.integers(min_value=0, max_value=len(registry) - 1)
-    coeff = st.tuples(
-        st.integers(min_value=-9, max_value=9),
-        st.integers(min_value=1, max_value=4),
-    ).map(lambda nd: Fraction(nd[0], nd[1]))
+    coeff = st.integers(min_value=-9, max_value=9)
 
     def build_poly(parts):
         total = CoeffPoly.zero(registry)
@@ -91,26 +89,45 @@ def test_specialize_is_a_ring_homomorphism(registry, data):
     polys = _poly_strategy(registry)
     p, q = data.draw(polys), data.draw(polys)
     values = {
-        i: Fraction(data.draw(st.integers(min_value=-7, max_value=7)), 1)
+        i: data.draw(st.integers(min_value=-7, max_value=7))
         for i in range(len(registry))
     }
-    assert (p + q).specialize(values) == p.specialize(values) + q.specialize(values)
-    assert (p * q).specialize(values) == p.specialize(values) * q.specialize(values)
+    assert (p + q).integer_value(values) == p.integer_value(values) + q.integer_value(values)
+    assert (p * q).integer_value(values) == p.integer_value(values) * q.integer_value(values)
 
 
 def test_specialize_by_name_and_missing_value(registry):
+    full = {name: 1 for name in registry.names}
+    values = _integer_assignment(registry, {**full, "theta[1]": 2})
+    assert values[registry.theta_id(1)] == 2
+    values = _integer_assignment(registry, {**full, registry.theta_id(1): Fraction(6, 3)})
+    assert values[registry.theta_id(1)] == 2 and type(values[registry.theta_id(1)]) is int
+    for bad in (Fraction(3, 2), 1.5, "2"):
+        with pytest.raises(ArgumentError, match=r"theta\[1\]"):
+            _integer_assignment(registry, {**full, "theta[1]": bad})
+    del full["theta[2]"]
+    with pytest.raises(ArgumentError, match=r"theta\[2\]"):
+        _integer_assignment(registry, full)
+
+
+def test_scalars_must_be_integers(registry):
     p = CoeffPoly.indeterminate(registry, registry.theta_id(1))
-    assert p.specialize({"theta[1]": Fraction(3, 2)}) == Fraction(3, 2)
-    assert p.specialize({"theta[1]": 2}) == 2
-    with pytest.raises(ArgumentError):
-        p.specialize({"theta[2]": 1})
+    for bad in (Fraction(1, 2), 0.5):
+        with pytest.raises(ArgumentError):
+            CoeffPoly.constant(registry, bad)
+        with pytest.raises(ArgumentError):
+            p * bad
+        with pytest.raises(ArgumentError):
+            bad * p
+        with pytest.raises(ArgumentError):
+            p == bad
 
 
 def test_constant_term_degree_indeterminates(registry):
     t1 = CoeffPoly.indeterminate(registry, registry.theta_id(1))
     c = CoeffPoly.indeterminate(registry, registry.c_id(12, 1))
-    p = CoeffPoly.constant(registry, Fraction(5, 3)) + t1 * t1 * c
-    assert p.constant_term == Fraction(5, 3)
+    p = CoeffPoly.constant(registry, 5) + t1 * t1 * c
+    assert p.constant_term == 5
     assert p.degree() == 3
     assert p.indeterminates() == {registry.theta_id(1), registry.c_id(12, 1)}
     assert CoeffPoly.zero(registry).degree() == -1
@@ -123,10 +140,10 @@ def test_rendering(registry):
     t2 = CoeffPoly.indeterminate(registry, registry.theta_id(2))
     c = CoeffPoly.indeterminate(registry, registry.c_id(12, 1))
     two = CoeffPoly.constant(registry, 2)
-    p = two * t1 * t2 - CoeffPoly.constant(registry, Fraction(3, 2)) * c * c
-    assert str(p) == "-3/2*C[12,1]^2 + 2*theta[1]*theta[2]"
+    p = two * t1 * t2 - CoeffPoly.constant(registry, 3) * c * c
+    assert str(p) == "-3*C[12,1]^2 + 2*theta[1]*theta[2]"
     assert str(t2 - t1 * t1) == "theta[2] - theta[1]^2"
-    assert str(CoeffPoly.constant(registry, Fraction(5, 3)) - t1) == "5/3 - theta[1]"
+    assert str(CoeffPoly.constant(registry, 5) - t1) == "5 - theta[1]"
     assert str(CoeffPoly.zero(registry)) == "0"
     assert str(c) == "C[12,1]"
 

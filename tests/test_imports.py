@@ -1,7 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Import hygiene of the package modules.
 
-No linter ships with the test dependencies, so this reads each module's
-syntax tree with the standard library.  `__init__.py` is skipped because it
+Every name a module imports is used in that module, and no module imports
+`fractions`: every scalar is an integer.  No linter ships with the test
+dependencies, so this reads each module's syntax tree with the standard
+library.  `__init__.py` is skipped by the unused-name check because it
 imports names only to re-export them.
 """
 
@@ -27,6 +29,16 @@ def _unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _imported_modules(source: str):
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
 def test_unused_imports_detected():
     source = (
         "from __future__ import annotations\n"
@@ -45,3 +57,23 @@ def test_every_imported_name_is_used():
         for line, name in _unused_imports(path.read_text())
     ]
     assert unused == []
+
+
+def test_imported_modules_detected():
+    source = (
+        "import os.path\n"
+        "from fractions import Fraction\n"
+        "from .monomial import Monomial\n"
+        "def f():\n"
+        "    import fractions as fr\n"
+    )
+    assert _imported_modules(source) == {"os", "fractions"}
+
+
+def test_no_module_imports_fractions():
+    offenders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "fractions" in _imported_modules(path.read_text())
+    ]
+    assert offenders == []

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 
 from bordercert import (
@@ -29,12 +27,12 @@ from bordercert import (
 from helpers import hom_tangent_oracle, paper_table_signatures, small_signatures
 
 
-def _modified_specialized(sig, seed=1, field="exact"):
+def _modified_specialized(sig, seed=1):
     oid = build(sig)
     registry = IndeterminateRegistry(oid)
     system = build_generic_modification(oid, registry)
     assignment = random_assignment(registry, seed)
-    return oid, specialize_system(system, assignment, field=field, prime=DEFAULT_PRIME)
+    return oid, specialize_system(system, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +76,8 @@ def test_tangent_dimension_86_at_two_seeds():
 
 
 def test_prime_field_agrees_with_exact():
-    _, spec_exact = _modified_specialized(Signature(5, 2, 3, 3, 1), seed=3)
-    _, spec_prime = _modified_specialized(Signature(5, 2, 3, 3, 1), seed=3, field="prime")
-    assert tangent_dimension(spec_exact) == tangent_dimension(spec_prime) == 59
+    _, spec = _modified_specialized(Signature(5, 2, 3, 3, 1), seed=3)
+    assert tangent_dimension(spec) == tangent_dimension(spec, prime=DEFAULT_PRIME) == 59
 
 
 def test_monomial_ideal_matches_hom_oracle():
@@ -91,7 +88,7 @@ def test_monomial_ideal_matches_hom_oracle():
             continue
         registry = IndeterminateRegistry(oid)
         system = generic_distinguished(oid, registry)
-        zeros = {idx: Fraction(0) for idx in range(len(registry))}
+        zeros = {idx: 0 for idx in range(len(registry))}
         monomial_system = specialize_system(system, zeros)
         expected = hom_tangent_oracle(oid)
         assert tangent_dimension(monomial_system) == expected, sig
@@ -111,7 +108,7 @@ def test_tangent_dimension_rejects_generic_ring():
 def test_tangent_dimension_rejects_non_border_basis():
     _, spec = _modified_specialized(Signature(5, 2, 3, 3, 1))
     tails = [dict(t) for t in spec.tails]
-    tails[0][1] = tails[0].get(1, Fraction(0)) + Fraction(7)
+    tails[0][1] = tails[0].get(1, 0) + 7
     with pytest.raises(ArgumentError):
         tangent_dimension(BorderSystem(spec.oid, tails, spec.ring))
 
