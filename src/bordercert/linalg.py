@@ -5,15 +5,17 @@ rank over the rationals goes through a fraction-free elimination (combine
 rows by cross-multiplication and strip common factors), so no rounding can
 occur anywhere.  Prime mode reduces the entries modulo the prime and uses
 ordinary elimination with pivots normalized to 1; that is the only place
-where prime mode differs from exact mode.
+where prime mode differs from exact mode.  Both kernels take rows shortest
+first and pivot columns sparsest first, which limits fill-in.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd
 from typing import Dict, Iterable, List
 
-from .monomial import ArgumentError
+from .coeffring import validated_prime
 
 SparseRow = Dict[int, int]
 
@@ -29,12 +31,25 @@ def _strip_content(row: SparseRow) -> SparseRow:
     return row
 
 
+def _by_column_count(rows: List[SparseRow]) -> Dict[int, int]:
+    """Map each column with a nonzero entry to its place, sparsest first.
+
+    Columns are ordered by their count of nonzero entries, ties by index.
+    The rank kernels relabel columns through this map, so `min(row)` picks
+    the sparsest column of a row as its pivot.
+    """
+    counts = Counter(c for row in rows for c, v in row.items() if v)
+    return {c: k for k, c in enumerate(sorted(counts, key=lambda c: (counts[c], c)))}
+
+
 def exact_rank(rows: Iterable[SparseRow]) -> int:
     """Rank over the rationals of sparse integer rows."""
+    rows = sorted(rows, key=len)  # sparse rows first limits fill-in
+    pos = _by_column_count(rows)
     pivots: Dict[int, Dict[int, int]] = {}
     rank = 0
-    for raw in sorted(rows, key=len):  # sparse rows first limits fill-in
-        row = _strip_content({c: v for c, v in raw.items() if v})
+    for raw in rows:
+        row = _strip_content({pos[c]: v for c, v in raw.items() if v})
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -58,14 +73,16 @@ def exact_rank(rows: Iterable[SparseRow]) -> int:
 
 def modp_rank(rows: Iterable[SparseRow], prime: int) -> int:
     """Rank over the field with `prime` elements of integer rows."""
+    rows = sorted(rows, key=len)
+    pos = _by_column_count(rows)
     pivots: Dict[int, Dict[int, int]] = {}
     rank = 0
-    for raw in sorted(rows, key=len):
+    for raw in rows:
         row = {}
         for c, v in raw.items():
             n = v % prime
             if n:
-                row[c] = n
+                row[pos[c]] = n
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -118,8 +135,8 @@ def dedupe_rows(rows: Iterable[SparseRow], prime: int = 0) -> List[SparseRow]:
 
 
 def rank_of(rows: Iterable[SparseRow], prime: int = 0) -> int:
-    """Deduplicate then rank, over Q (prime=0) or over F_prime."""
-    if prime < 0:
-        raise ArgumentError("prime must be positive")
+    """Deduplicate then rank, over Q (prime=0) or over F_prime for a prime above 2^31."""
+    if prime:
+        validated_prime(prime)
     deduped = dedupe_rows(rows, prime)
     return modp_rank(deduped, prime) if prime else exact_rank(deduped)

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bordercert import (
+    ArgumentError,
     DEFAULT_PRIME,
     dedupe_rows,
     exact_rank,
     modp_rank,
     rank_of,
 )
+from bordercert.linalg import _by_column_count
 
 from helpers import fraction_rank
 
@@ -38,6 +40,16 @@ matrix_strategy = st.integers(min_value=0, max_value=10_000).map(
     )
 )
 
+# sparse enough that column counts differ, so the pivot column order matters
+sparse_matrix_strategy = st.integers(min_value=0, max_value=10_000).map(
+    lambda seed: _random_matrix(
+        random.Random(seed),
+        random.Random(seed ^ 1).randint(1, 14),
+        random.Random(seed ^ 2).randint(1, 14),
+        density=0.25,
+    )
+)
+
 
 @settings(max_examples=60, deadline=None)
 @given(matrix_strategy)
@@ -52,6 +64,36 @@ def test_modp_rank_matches_exact_on_small_entries(matrix):
     # divisible by the (much larger) default prime
     sparse = _dense_to_sparse(matrix)
     assert modp_rank(sparse, DEFAULT_PRIME) == exact_rank(sparse)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrix_strategy)
+def test_both_kernels_match_dense_oracle_on_sparse_matrices(matrix):
+    sparse = _dense_to_sparse(matrix)
+    expected = fraction_rank(matrix)
+    assert exact_rank(sparse) == expected
+    assert modp_rank(sparse, DEFAULT_PRIME) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_matrix_strategy, st.randoms(use_true_random=False))
+def test_rank_invariant_under_column_relabelling(matrix, rng):
+    sparse = _dense_to_sparse(matrix)
+    labels = rng.sample(range(1000), len(matrix[0]))
+    relabelled = [{labels[j]: v for j, v in row.items()} for row in sparse]
+    assert exact_rank(relabelled) == exact_rank(sparse)
+    assert modp_rank(relabelled, DEFAULT_PRIME) == modp_rank(sparse, DEFAULT_PRIME)
+
+
+def test_column_order_is_sparsest_first_ties_by_index():
+    rows = [
+        {0: 1, 1: 2, 5: 1, 7: 0},
+        {0: 3, 5: -1, 9: 4},
+        {0: 1, 1: 1, 8: 5, 9: 2},
+    ]
+    # counts: column 8 -> 1; 1, 5, 9 -> 2; 0 -> 3; column 7 holds only a zero
+    assert _by_column_count(rows) == {8: 0, 1: 1, 5: 2, 9: 3, 0: 4}
+    assert _by_column_count([]) == {}
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,6 +165,12 @@ def test_dedupe_rows_prime_mode():
 def test_rank_of_agrees_with_exact_rank(matrix):
     sparse = _dense_to_sparse(matrix)
     assert rank_of(sparse) == exact_rank(sparse)
+
+
+def test_rank_of_rejects_unusable_modulus():
+    for modulus in (1, 4, 97, -3):
+        with pytest.raises(ArgumentError):
+            rank_of([{0: 1}], modulus)
 
 
 def test_rank_drops_with_dependent_row():

@@ -105,6 +105,12 @@ def test_tangent_dimension_rejects_generic_ring():
         tangent_dimension(system)
 
 
+def test_tangent_dimension_rejects_unusable_prime():
+    _, spec = _modified_specialized(Signature(5, 2, 3, 3, 1))
+    with pytest.raises(ArgumentError):
+        tangent_dimension(spec, prime=4)
+
+
 def test_tangent_dimension_rejects_non_border_basis():
     _, spec = _modified_specialized(Signature(5, 2, 3, 3, 1))
     tails = [dict(t) for t in spec.tails]
