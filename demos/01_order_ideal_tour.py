@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from bordercert import Signature, build, dim_U, frame, neighbor_pairs
+from bordercert import Signature, build, dim_U
+from bordercert.orderideal import translation_frame
 
 
 def main() -> None:
@@ -48,12 +49,12 @@ def main() -> None:
     print(f"  gamma = |seeds|  : {oid.gamma}")
     print()
 
-    pairs = neighbor_pairs(oid)
+    pairs = oid.neighbor_pairs
     across = sum(1 for p in pairs if p.beta != 0)
     print(f"neighbor pairs     {len(pairs)} ({across} across-the-street, "
           f"{len(pairs) - across} next-door)")
 
-    fr = frame(oid)
+    fr = translation_frame(oid)
     print(f"translation frame  eta = {fr.eta}, directions = {fr.labels()}")
     print(f"family dimension   dim(U) = {dim_U(oid)}")
     print(f"principal (n*mu)   {sig.n * oid.mu}")

@@ -17,18 +17,9 @@ Run:  python3 demos/02_generic_modification.py
 
 from __future__ import annotations
 
-from bordercert import (
-    IndeterminateRegistry,
-    Signature,
-    build,
-    build_generic_modification,
-    generic_distinguished,
-    install_targets,
-    render_targets,
-    step1,
-    step2,
-    step3,
-)
+from bordercert import IndeterminateRegistry, Signature, build, build_generic_modification
+from bordercert.borderbasis import generic_distinguished
+from bordercert.modification import install_targets, render_targets, step1, step2, step3
 
 
 def show(title, oid, tm) -> None:

@@ -14,18 +14,15 @@ Run:  python3 demos/03_border_basis_verification.py
 from __future__ import annotations
 
 from bordercert import (
-    BorderSystem,
     IndeterminateRegistry,
     Signature,
     build,
     build_generic_modification,
     is_border_basis,
-    power_in_ideal,
     random_assignment,
-    reduce,
-    s_polynomial,
     specialize_system,
 )
+from bordercert.borderbasis import BorderSystem, power_in_ideal, reduce, s_polynomial
 
 
 def main() -> None:

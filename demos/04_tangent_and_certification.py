@@ -24,15 +24,13 @@ from bordercert import (
     build,
     build_generic_modification,
     certify,
-    coordinate_labels,
-    coordinate_tangent_tuple,
     dim_U,
-    independence_rank,
     random_assignment,
     report_to_json_dict,
     specialize_system,
     tangent_dimension,
 )
+from bordercert.tangent import coordinate_labels, coordinate_tangent_tuple, independence_rank
 
 
 def main() -> None:

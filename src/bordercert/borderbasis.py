@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .coeffring import CoeffPoly, IndeterminateRegistry, _integer_assignment
 from .monomial import ArgumentError, InternalInvariantError, Monomial, negdeglex_key
-from .orderideal import NeighborPair, OrderIdealData, neighbor_pairs
+from .orderideal import NeighborPair, OrderIdealData
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,6 @@ class SpanElement:
 
     def monomial_multiple(self, m: Monomial) -> "SpanElement":
         return SpanElement({t.mul(m): v for t, v in self.terms.items()})
-
-    def variable_shift(self, alpha: int, beta: int) -> "SpanElement":
-        """Multiply every monomial by x_alpha / x_beta; the division must be exact."""
-        out = {}
-        for t, v in self.terms.items():
-            if t.var_degree(beta) == 0:
-                raise InternalInvariantError(f"term {t} is not divisible by x{beta}")
-            out[t.mul_var(alpha).div_var(beta)] = v
-        return SpanElement(out)
 
     def __add__(self, other: "SpanElement") -> "SpanElement":
         terms = dict(self.terms)
@@ -150,7 +141,7 @@ class BorderSystem:
     to the coefficient Y_ij, omitting zeros.
     """
 
-    __slots__ = ("oid", "tails", "ring", "_outside_cache", "_index_cache", "_pairs")
+    __slots__ = ("oid", "tails", "ring", "_outside_cache", "_index_cache")
 
     def __init__(self, oid: OrderIdealData, tails: List[Dict[int, object]], ring: RingSpec):
         if len(tails) != oid.nu:
@@ -164,7 +155,6 @@ class BorderSystem:
         self.ring = ring
         self._outside_cache: Dict[Monomial, Dict[Monomial, object]] = {}
         self._index_cache: Dict[Monomial, int] = {}
-        self._pairs: Optional[Tuple[NeighborPair, ...]] = None
 
     # ------------------------------------------------------------ accessors
 
@@ -181,9 +171,7 @@ class BorderSystem:
         return f + self.tail_span(j).scaled(-1)
 
     def neighbor_pairs(self) -> Tuple[NeighborPair, ...]:
-        if self._pairs is None:
-            self._pairs = neighbor_pairs(self.oid)
-        return self._pairs
+        return self.oid.neighbor_pairs
 
     def total_tail_terms(self) -> int:
         """Total number of nonzero coefficient terms across all tails."""

@@ -22,8 +22,8 @@ from .borderbasis import (
 from .coeffring import DEFAULT_PRIME, IndeterminateRegistry, validated_prime
 from .modification import build_generic_modification
 from .monomial import ArgumentError
-from .orderideal import Signature, build
-from .tangent import dim_U, frame, random_assignment, tangent_dimension
+from .orderideal import Signature, build, translation_frame
+from .tangent import dim_U, random_assignment, tangent_dimension
 from .version import __version__
 
 SYMBOLIC_BUDGET = 20000  # total tail terms up to which the symbolic check runs
@@ -113,7 +113,7 @@ def certify(
 
     family_dim = dim_U(oid)
     principal = sig.n * oid.mu
-    eta = frame(oid).eta
+    eta = translation_frame(oid).eta
 
     verified = True
     t0 = time.perf_counter()
@@ -202,7 +202,7 @@ def certify(
 def inspect_signature(sig: Signature) -> dict:
     """Pure structural summary of one signature; no linear algebra."""
     oid = build(sig)
-    fr = frame(oid)
+    fr = translation_frame(oid)
     return {
         "signature": list(sig.as_tuple()),
         "minimalLeadMonomial": str(sig.minimal_lead_monomial()),

@@ -4,7 +4,7 @@ Certain border generators receive an extra *target* polynomial: a combination
 of basis monomials of degree >= r with coefficients in the free target
 indeterminates theta[q].  Step 1 seeds the top block of degree-r border
 monomials in the middle-and-back variables and spreads it across the block by
-exact monomial transport; step 2 pushes the targets up to the deeper
+the exact factor member / top; step 2 pushes the targets up to the deeper
 target-bearing border monomials by multiplication and truncation; step 3
 walks the remaining degree-r blocks downward, each time reducing the middle
 variable times the previous target modulo the partially built system and
@@ -30,7 +30,7 @@ from .monomial import (
     monomials_of,
     segment,
 )
-from .orderideal import OrderIdealData, across_street_path
+from .orderideal import OrderIdealData
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,24 @@ def _lead_block(oid: OrderIdealData, e: int):
 
 
 def _propagated(oid: OrderIdealData, block, source_target: SpanElement) -> Dict[int, SpanElement]:
-    """Transport the target of block[0] to every other member along its path."""
-    out = {oid.index_of_border[block[0]]: source_target}
+    """Move the target of top = block[0] to every other member m of its block.
+
+    Each term t becomes t * m / top, and that division must be exact.  This is
+    the net effect of the staircase walk from top to m, one variable shift
+    x_alpha / x_beta at a time: along that walk every exponent is lowest at one
+    of its two ends, so each shift divides exactly if and only if the whole
+    quotient does.
+    """
+    top = block[0]
+    out = {oid.index_of_border[top]: source_target}
     for m in block[1:]:
-        value = source_target
-        for step in across_street_path(oid, block[0], m):
-            value = value.variable_shift(step.alpha, step.beta)
-        out[oid.index_of_border[m]] = value
+        moved: Dict[Monomial, object] = {}
+        for t, c in source_target.terms.items():
+            q = t.mul(m).try_div(top)
+            if q is None:
+                raise InternalInvariantError(f"term {t} of the target of {top} does not move to {m}")
+            moved[q] = c
+        out[oid.index_of_border[m]] = SpanElement(moved)
     return out
 
 

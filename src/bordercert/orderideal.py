@@ -10,12 +10,16 @@ The variables split into *front* (x_1..x_(delta-1)), *middle* (x_delta) and
 the special subsets the downstream construction consumes: the degree-r border
 monomials at or above the lex-minimal one (`leading`), the top-degree basis
 monomials (`trailing`), the pools of admissible target terms, and the border
-monomials that will actually carry targets (`s_lead` and `s_deep`).
+monomials that will actually carry targets (`s_lead` and `s_deep`).  Two
+more derived structures live here because they depend on the order ideal
+alone: its neighbor pairs (`OrderIdealData.neighbor_pairs`, computed once per
+order ideal on first use) and the translation frame (`translation_frame`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from .monomial import (
@@ -115,6 +119,31 @@ class OrderIdealData:
             return ()
         lo = sum(self.hilbert[:d])
         return self.basis[lo : lo + self.hilbert[d]]
+
+    @cached_property
+    def neighbor_pairs(self) -> Tuple[NeighborPair, ...]:
+        """All variable-multiple coincidences between border monomials, canonically ordered."""
+        n = self.signature.n
+        found = set()
+        for b in self.border:
+            j = self.index_of_border[b]
+            for alpha in range(1, n + 1):
+                m = b.mul_var(alpha)
+                j_next = self.index_of_border.get(m)
+                if j_next is not None:
+                    found.add(NeighborPair(j, j_next, alpha, 0))
+                for beta in range(1, n + 1):
+                    if beta == alpha or m.var_degree(beta) == 0:
+                        continue
+                    other = m.div_var(beta)
+                    if other == b:
+                        continue
+                    j_other = self.index_of_border.get(other)
+                    if j_other is None:
+                        continue
+                    if j < j_other:
+                        found.add(NeighborPair(j, j_other, alpha, beta))
+        return tuple(sorted(found, key=lambda p: (p.j1, p.j2, p.alpha, p.beta)))
 
     def __hash__(self) -> int:
         return hash(self.signature)
@@ -222,104 +251,58 @@ class NeighborPair:
     beta: int
 
 
-def neighbor_pairs(oid: OrderIdealData) -> Tuple[NeighborPair, ...]:
-    """All variable-multiple coincidences between border monomials, canonically ordered."""
-    n = oid.signature.n
-    found = set()
-    for b in oid.border:
-        j = oid.index_of_border[b]
-        for alpha in range(1, n + 1):
-            m = b.mul_var(alpha)
-            j_next = oid.index_of_border.get(m)
-            if j_next is not None:
-                found.add(NeighborPair(j, j_next, alpha, 0))
-            for beta in range(1, n + 1):
-                if beta == alpha or m.var_degree(beta) == 0:
-                    continue
-                other = m.div_var(beta)
-                if other == b:
-                    continue
-                j_other = oid.index_of_border.get(other)
-                if j_other is None:
-                    continue
-                if j < j_other:
-                    found.add(NeighborPair(j, j_other, alpha, beta))
-    return tuple(sorted(found, key=lambda p: (p.j1, p.j2, p.alpha, p.beta)))
-
-
 @dataclass(frozen=True)
-class PathStep:
-    """One move of a staircase path: x_alpha * previous = x_beta * monomial."""
+class TranslationFrame:
+    """Anchor generators and shift monomials for the translation directions.
 
-    monomial: Monomial
-    alpha: int
-    beta: int
-
-
-def _suffix_shape(sig: Signature, m: Monomial) -> List[int]:
-    """Partial degree sums e_0 >= e_1 >= ... of m over x_(delta+1)..x_n."""
-    delta, n = sig.delta, sig.n
-    e = [m.degree - m.var_degree(delta)]
-    for i in range(1, n - delta):
-        e.append(e[i - 1] - m.var_degree(delta + i))
-    return e
-
-
-def across_street_path(oid: OrderIdealData, frm: Monomial, to: Monomial):
-    """The canonical staircase path from the lex-max of a block to a lex-smaller target.
-
-    ``frm`` must have the two-variable form x_delta^(d-s0) * x_(delta+1)^s0 and
-    ``to`` must be a degree-d monomial in x_delta..x_n whose back-degree is at
-    least s0.  The path shifts exponent weight one variable at a time, first
-    from x_delta to x_(delta+1), then from x_(delta+1) to x_(delta+2), and so
-    on; consecutive monomials m, m' satisfy x_alpha * m = x_beta * m'.
+    For each variable x_alpha there is one anchor border monomial b_{j_alpha}
+    and a list of shift monomials; differentiating the shifted family along
+    (alpha, lambda) is expected to move exactly the key tail slot
+    (i_{alpha,lambda}, j_alpha).
     """
-    sig = oid.signature
-    delta, n = sig.delta, sig.n
-    if not _in_variables_from(frm, delta) or not _in_variables_from(to, delta):
-        raise ArgumentError("path endpoints must avoid the front variables")
-    if frm.degree != to.degree:
-        raise ArgumentError("path endpoints must have equal degree")
-    s0 = frm.degree - frm.var_degree(delta)
-    if frm != Monomial.variable(n, delta, frm.degree - s0).mul_var(delta + 1, s0):
-        raise ArgumentError(f"path source {frm} is not the lex-maximal element of a block")
-    e = _suffix_shape(sig, to)
-    if e[0] < s0:
-        raise ArgumentError(f"target {to} has smaller back-degree than source {frm}")
 
-    steps: List[PathStep] = []
-    m = frm
-    counts = [e[0] - s0] + e[1:]
-    for i, count in enumerate(counts):
-        alpha, beta = delta + i + 1, delta + i
-        for _ in range(count):
-            m = m.mul_var(alpha).div_var(beta)
-            steps.append(PathStep(m, alpha, beta))
-    if m != to:
-        raise InternalInvariantError(f"staircase path from {frm} ended at {m}, not {to}")
-    return tuple(steps)
+    anchors: Dict[int, Monomial]
+    anchor_index: Dict[int, int]
+    delta_sets: Dict[int, List[Monomial]]
+    key_basis_index: Dict[Tuple[int, int], int]
+    eta: int
+
+    def labels(self) -> List[str]:
+        out = []
+        for alpha in sorted(self.delta_sets):
+            for lam in range(1, len(self.delta_sets[alpha]) + 1):
+                out.append(f"Z[{alpha},{lam}]")
+        return out
+
+    def size(self) -> int:
+        return sum(len(v) for v in self.delta_sets.values())
 
 
-def translation_frame(oid: OrderIdealData):
-    """Anchor border monomials and shift sets for the translation directions.
+def translation_frame(oid: OrderIdealData) -> TranslationFrame:
+    """Anchor border monomials, shift sets and key basis slots of the translations.
 
-    Returns ``(anchors, delta_sets, eta)``: for every variable x_alpha an
-    anchor border monomial (x_alpha * x_n^(r-1) for front variables, else
-    x_alpha * x_n^s) and a negdeglex-ordered list of shift monomials whose
-    first element is 1.  ``eta`` is the common size of the front shift sets,
-    0 when there are no front variables.
+    For every variable x_alpha the anchor is the border monomial
+    x_alpha * x_n^(r-1) for a front variable, else x_alpha * x_n^s; its shift
+    monomials are listed in negdeglex order with 1 first.  The key slot of
+    (alpha, lambda) is the basis index of (anchor / x_alpha) * shift.  ``eta``
+    is the common size of the front shift sets, 0 when there are no front
+    variables.
     """
     sig = oid.signature
     n, r, s, delta = sig.n, sig.r, sig.s, sig.delta
     x_n_pow = Monomial.variable(n, n, r - 1)
     anchors: Dict[int, Monomial] = {}
+    anchor_index: Dict[int, int] = {}
     for alpha in range(1, n + 1):
         if alpha < delta:
-            anchors[alpha] = x_n_pow.mul_var(alpha)
+            b = x_n_pow.mul_var(alpha)
         else:
-            anchors[alpha] = Monomial.variable(n, n, s).mul_var(alpha)
-        if anchors[alpha] not in oid.index_of_border:
-            raise InternalInvariantError(f"translation anchor {anchors[alpha]} is not a border monomial")
+            b = Monomial.variable(n, n, s).mul_var(alpha)
+        j = oid.index_of_border.get(b)
+        if j is None:
+            raise InternalInvariantError(f"translation anchor {b} is not a border monomial")
+        anchors[alpha] = b
+        anchor_index[alpha] = j
 
     tar_prime_set = set(oid.tar_prime)
     front_shifts: List[Monomial] = []
@@ -335,5 +318,15 @@ def translation_frame(oid: OrderIdealData):
     for alpha in range(delta, n + 1):
         delta_sets[alpha] = [Monomial.unit(n)]
 
+    key_index: Dict[Tuple[int, int], int] = {}
+    for alpha, b in anchors.items():
+        stem = b.div_var(alpha)
+        for lam, m in enumerate(delta_sets[alpha], start=1):
+            t = stem.mul(m)
+            i = oid.index_of_basis.get(t)
+            if i is None:
+                raise InternalInvariantError(f"key monomial {t} for x{alpha} is not in the basis")
+            key_index[(alpha, lam)] = i
+
     eta = len(front_shifts) if delta > 1 else 0
-    return anchors, delta_sets, eta
+    return TranslationFrame(anchors, anchor_index, delta_sets, key_index, eta)

@@ -33,10 +33,10 @@ from .borderbasis import (
     s_polynomial,
     specialize_system,
 )
-from .coeffring import IndeterminateRegistry, _integer_assignment
+from .coeffring import IndeterminateRegistry, _integer_assignment, validated_prime
 from .linalg import rank_of
 from .monomial import ArgumentError, InternalInvariantError, Monomial
-from .orderideal import OrderIdealData, translation_frame
+from .orderideal import OrderIdealData, TranslationFrame, translation_frame
 
 
 @dataclass(frozen=True)
@@ -63,56 +63,10 @@ class TangentTuple:
         return out
 
 
-@dataclass(frozen=True)
-class TranslationFrame:
-    """Anchor generators and shift monomials for the translation directions.
-
-    For each variable x_alpha there is one anchor border monomial b_{j_alpha}
-    and a list of shift monomials; differentiating the shifted family along
-    (alpha, lambda) is expected to move exactly the key tail slot
-    (i_{alpha,lambda}, j_alpha).
-    """
-
-    anchors: Dict[int, Monomial]
-    anchor_index: Dict[int, int]
-    delta_sets: Dict[int, List[Monomial]]
-    key_basis_index: Dict[Tuple[int, int], int]
-    eta: int
-
-    def labels(self) -> List[str]:
-        out = []
-        for alpha in sorted(self.delta_sets):
-            for lam in range(1, len(self.delta_sets[alpha]) + 1):
-                out.append(f"Z[{alpha},{lam}]")
-        return out
-
-    def size(self) -> int:
-        return sum(len(v) for v in self.delta_sets.values())
-
-
-def frame(oid: OrderIdealData) -> TranslationFrame:
-    anchors, delta_sets, eta = translation_frame(oid)
-    anchor_index = {}
-    key_index: Dict[Tuple[int, int], int] = {}
-    for alpha, b in anchors.items():
-        j = oid.index_of_border.get(b)
-        if j is None:
-            raise InternalInvariantError(f"translation anchor {b} is not a border monomial")
-        anchor_index[alpha] = j
-        stem = b.div_var(alpha)
-        for lam, m in enumerate(delta_sets[alpha], start=1):
-            t = stem.mul(m)
-            i = oid.index_of_basis.get(t)
-            if i is None:
-                raise InternalInvariantError(f"key monomial {t} for x{alpha} is not in the basis")
-            key_index[(alpha, lam)] = i
-    return TranslationFrame(anchors, anchor_index, delta_sets, key_index, eta)
-
-
 def dim_U(oid: OrderIdealData) -> int:
     """Closed-form dimension of the constructed family."""
     sig = oid.signature
-    eta = frame(oid).eta
+    eta = translation_frame(oid).eta
     return oid.ell * oid.tau + oid.gamma + (sig.delta - 1) * eta + (sig.n - sig.delta + 1)
 
 
@@ -126,6 +80,8 @@ def _column(mu: int, i: int, j: int) -> int:
 def tangent_dimension(sys: BorderSystem, prime: int = 0) -> int:
     """dim of first-order deformations of the border basis at `sys`, with the
     rank taken over Q (prime=0) or over F_prime."""
+    if prime:
+        validated_prime(prime)
     if sys.ring.kind != "rational":
         raise ArgumentError("tangent dimension needs a specialized system")
     ok, failures = is_border_basis(sys)
@@ -251,7 +207,7 @@ def coordinate_tangent_tuple(
     if chi.startswith("Z["):
         alpha, lam = int(m.group(2)), int(m.group(3))
         spec_sys = specialize_system(sys_generic, values)
-        return _translation_tuple(spec_sys, frame(sys_generic.oid), alpha, lam)
+        return _translation_tuple(spec_sys, translation_frame(sys_generic.oid), alpha, lam)
     return _parameter_tuple(sys_generic, values, registry.id_of(chi))
 
 
@@ -261,7 +217,7 @@ def coordinate_labels(sys_generic: BorderSystem) -> List[str]:
     return (
         list(registry.distinguished)
         + list(registry.modification)
-        + frame(sys_generic.oid).labels()
+        + translation_frame(sys_generic.oid).labels()
     )
 
 

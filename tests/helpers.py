@@ -40,7 +40,7 @@ def membership_rows(sys, mult_degree):
     The row space is the degree-limited slice of the ideal, giving a linear-
     algebra membership oracle that is independent of the rewriting engine.
     """
-    from bordercert import monomials_of
+    from bordercert.monomial import monomials_of
 
     sig = sys.oid.signature
     top = mult_degree + sig.s + 1
@@ -66,7 +66,7 @@ def as_dense_row(f, col_of):
 
 
 def monomial_lcm(m1, m2):
-    from bordercert import Monomial
+    from bordercert.monomial import Monomial
 
     return Monomial(tuple(max(a, b) for a, b in zip(m1.exps, m2.exps)))
 

@@ -15,33 +15,24 @@ from pathlib import Path
 
 import pytest
 
-from bordercert import (
-    CoeffPoly,
-    DEFAULT_PRIME,
-    IndeterminateRegistry,
-    Monomial,
-    SegmentSpec,
-    Signature,
+from bordercert.borderbasis import (
     SpanElement,
-    build,
-    build_generic_modification,
-    build_targets,
-    certify,
+    is_border_basis,
+    power_in_ideal,
+    reduce,
+    specialize_system,
+)
+from bordercert.certify import certify, report_to_json_dict
+from bordercert.coeffring import DEFAULT_PRIME, CoeffPoly, IndeterminateRegistry
+from bordercert.modification import build_generic_modification, build_targets, render_targets
+from bordercert.monomial import Monomial, SegmentSpec, monomials_of, segment
+from bordercert.orderideal import Signature, build, gamma_formula, translation_frame
+from bordercert.tangent import (
     coordinate_labels,
     coordinate_tangent_tuple,
     dim_U,
-    frame,
-    gamma_formula,
     independence_rank,
-    is_border_basis,
-    monomials_of,
-    power_in_ideal,
     random_assignment,
-    reduce,
-    render_targets,
-    report_to_json_dict,
-    segment,
-    specialize_system,
     tangent_dimension,
 )
 
@@ -308,7 +299,7 @@ def test_criterion_8f_coordinate_tuple_patterns():
         registry = IndeterminateRegistry(oid)
         system = build_generic_modification(oid, registry)
         assignment = random_assignment(registry, seed=3)
-        fr = frame(oid)
+        fr = translation_frame(oid)
         leading = {oid.index_of_border[b] for b in oid.leading}
         theta_allowed = {
             (oid.index_of_basis[t], oid.index_of_border[b])

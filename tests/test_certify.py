@@ -6,14 +6,8 @@ import json
 
 import pytest
 
-from bordercert import (
-    ArgumentError,
-    Signature,
-    __version__,
-    certify,
-    inspect_signature,
-    report_to_json_dict,
-)
+from bordercert import ArgumentError, Signature, __version__, certify, report_to_json_dict
+from bordercert.certify import inspect_signature
 
 EXPECTED_KEYS = [
     "signature",

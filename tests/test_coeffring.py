@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bordercert import (
-    ArgumentError,
-    CoeffPoly,
+from bordercert.coeffring import (
     DEFAULT_PRIME,
+    CoeffPoly,
     IndeterminateRegistry,
-    Signature,
-    build,
+    _integer_assignment,
     validated_prime,
 )
-from bordercert.coeffring import _integer_assignment
+from bordercert.monomial import ArgumentError
+from bordercert.orderideal import Signature, build
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,9 @@
-"""Every narrative script under demos/ runs to completion against the package."""
+"""Every narrative script under demos/, and the README's Library block, runs against the package."""
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +21,15 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_block_prints_documented_output():
+    readme = (ROOT / "README.md").read_text()
+    library = readme[readme.index("## Library") :]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "86 86\nELEMENTARY_CERTIFIED\n"

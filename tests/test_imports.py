@@ -4,7 +4,8 @@ Every name a module imports is used in that module, and no module imports
 `fractions`: every scalar is an integer.  No linter ships with the test
 dependencies, so this reads each module's syntax tree with the standard
 library.  `__init__.py` is skipped by the unused-name check because it
-imports names only to re-export them.
+imports names only to re-export them; instead it must import exactly the
+names its `__all__` lists.
 """
 
 from __future__ import annotations
@@ -77,3 +78,19 @@ def test_no_module_imports_fractions():
         if "fractions" in _imported_modules(path.read_text())
     ]
     assert offenders == []
+
+
+def test_package_imports_exactly_its_all():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = set()
+    exported = None
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = ast.literal_eval(node.value)
+    assert exported is not None
+    assert len(exported) == len(set(exported))
+    assert imported == set(exported)

@@ -8,15 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bordercert import (
-    ArgumentError,
-    DEFAULT_PRIME,
-    dedupe_rows,
-    exact_rank,
-    modp_rank,
-    rank_of,
-)
-from bordercert.linalg import _by_column_count
+from bordercert.coeffring import DEFAULT_PRIME
+from bordercert.linalg import _by_column_count, dedupe_rows, exact_rank, modp_rank, rank_of
+from bordercert.monomial import ArgumentError
 
 from helpers import fraction_rank
 

@@ -10,25 +10,19 @@ from pathlib import Path
 
 import pytest
 
-from bordercert import (
-    ArgumentError,
-    CoeffPoly,
-    IndeterminateRegistry,
-    Monomial,
-    Signature,
-    SpanElement,
-    build,
+from bordercert.borderbasis import SpanElement, generic_distinguished, is_border_basis
+from bordercert.coeffring import CoeffPoly, IndeterminateRegistry
+from bordercert.modification import (
     build_generic_modification,
     build_targets,
-    generic_distinguished,
     install_targets,
-    is_border_basis,
     render_targets,
-    across_street_path,
     step1,
     step2,
     step3,
 )
+from bordercert.monomial import ArgumentError, Monomial
+from bordercert.orderideal import Signature, build
 from helpers import small_signatures
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -166,7 +160,7 @@ def test_deep_factorization_is_choice_independent():
 
 
 def test_deep_targets_transport_along_paths():
-    """Within one degree slice the deep targets are path-shifts of each other."""
+    """Within one degree slice each deep target is the top's target times b / top, an exact division."""
     for sig in (Signature(5, 2, 3, 3, 0), Signature(4, 2, 4, 2, 1), Signature(3, 4, 6, 2, 1)):
         oid = build(sig)
         tm = build_targets(oid)
@@ -176,10 +170,12 @@ def test_deep_targets_transport_along_paths():
         for block in by_degree.values():
             top = block[0]
             for b in block[1:]:
-                value = tm.targets[oid.index_of_border[top]]
-                for stp in across_street_path(oid, top, b):
-                    value = value.variable_shift(stp.alpha, stp.beta)
-                assert value == tm.targets[oid.index_of_border[b]]
+                moved = {}
+                for t, c in tm.targets[oid.index_of_border[top]].terms.items():
+                    q = t.mul(b).try_div(top)
+                    assert q is not None
+                    moved[q] = c
+                assert SpanElement(moved) == tm.targets[oid.index_of_border[b]]
 
 
 def test_target_invariants_across_grid():

@@ -1,4 +1,4 @@
-"""Order-ideal construction, derived sets, blocks, paths, and frames."""
+"""Order-ideal construction, derived sets, blocks, neighbor pairs, and frames."""
 
 from __future__ import annotations
 
@@ -6,20 +6,22 @@ from itertools import product
 
 import pytest
 
-from bordercert import (
+from bordercert.monomial import (
     ArgumentError,
     Monomial,
+    SegmentSpec,
+    binomial,
+    monomials_of,
+    negdeglex_key,
+    segment,
+)
+from bordercert.orderideal import (
     Signature,
-    across_street_path,
     build,
     gamma_formula,
-    monomials_of,
-    neighbor_pairs,
-    segment,
     shape_to_signature,
     translation_frame,
 )
-from bordercert.monomial import SegmentSpec, binomial, cmp_lex, negdeglex_key
 
 from helpers import paper_table_signatures, small_signatures
 
@@ -260,13 +262,13 @@ def brute_force_pairs(oid):
 def test_neighbor_pairs_match_brute_force():
     for sig_tuple in [(4, 3, 4, 2, 1), (3, 4, 6, 2, 1), (5, 2, 3, 3, 0), (3, 2, 4, 1, 1)]:
         oid = build(Signature(*sig_tuple))
-        got = {(p.j1, p.j2, p.alpha, p.beta) for p in neighbor_pairs(oid)}
+        got = {(p.j1, p.j2, p.alpha, p.beta) for p in oid.neighbor_pairs}
         assert got == brute_force_pairs(oid)
 
 
 def test_neighbor_pairs_examples_and_order():
     oid = build(Signature(3, 4, 6, 2, 1))
-    pairs = neighbor_pairs(oid)
+    pairs = oid.neighbor_pairs
     j_a, j_b = oid.index_of_border[mono(0, 4, 0)], oid.index_of_border[mono(0, 3, 1)]
     assert any(p.j1 == j_a and p.j2 == j_b and p.alpha == 3 and p.beta == 2 for p in pairs)
     j_c = oid.index_of_border[mono(0, 3, 2)]
@@ -283,98 +285,55 @@ def test_neighbor_pairs_examples_and_order():
             assert b1.mul_var(p.alpha) == b2.mul_var(p.beta)
 
 
-# -------------------------------------------------------------------- paths
-
-
-def test_path_examples():
-    oid = build(Signature(5, 2, 3, 3, 1))
-    frm = mono(0, 0, 1, 1, 0)
-    assert across_street_path(oid, frm, frm) == ()
-    steps = across_street_path(oid, frm, mono(0, 0, 1, 0, 1))
-    assert [(str(p.monomial), p.alpha, p.beta) for p in steps] == [("x3*x5", 5, 4)]
-
-
-def test_path_reaches_every_block_member():
-    # from the top of each degree-r block, every member of that block and of
-    # every lex-smaller block is reachable, one variable shift at a time
-    oid = build(Signature(4, 3, 4, 2, 1))
-    sig = oid.signature
-    for e in range(0, sig.r + 1):
-        frm = segment(SegmentSpec(sig.n, sig.delta, sig.r, (e,)))[0]
-        for e2 in range(e, sig.r + 1):
-            for to in segment(SegmentSpec(sig.n, sig.delta, sig.r, (e2,))):
-                steps = across_street_path(oid, frm, to)
-                m = frm
-                for st_ in steps:
-                    assert m.mul_var(st_.alpha) == st_.monomial.mul_var(st_.beta)
-                    assert sig.delta <= st_.beta < st_.alpha <= sig.n
-                    m = st_.monomial
-                assert m == to
-
-
-def test_path_errors():
-    oid = build(Signature(5, 2, 3, 3, 1))
-    with pytest.raises(ArgumentError):
-        across_street_path(oid, mono(0, 0, 1, 0, 1), mono(0, 0, 1, 1, 0))  # back-degree drops
-    with pytest.raises(ArgumentError):
-        across_street_path(oid, mono(0, 0, 1, 1, 0), mono(0, 0, 2, 0, 0))
-    with pytest.raises(ArgumentError):
-        across_street_path(oid, mono(0, 0, 1, 0, 1), mono(0, 0, 0, 1, 1))  # bad source form
-    with pytest.raises(ArgumentError):
-        across_street_path(oid, mono(0, 0, 2, 0, 0), mono(0, 0, 1, 0, 0))  # degree mismatch
-    with pytest.raises(ArgumentError):
-        across_street_path(oid, mono(0, 0, 2, 0, 0), mono(0, 1, 1, 0, 0))  # front variable
-
-
 # -------------------------------------------------------------------- frames
 
 
 def test_translation_frame_5_2_3_3_0():
     oid = build(Signature(5, 2, 3, 3, 0))
-    anchors, delta_sets, eta = translation_frame(oid)
-    assert eta == 4
-    assert strs(delta_sets[1]) == ["1", "x3", "x4", "x5"]
-    assert delta_sets[1] == delta_sets[2]
-    assert strs(delta_sets[3]) == strs(delta_sets[4]) == strs(delta_sets[5]) == ["1"]
-    assert str(anchors[1]) == "x1*x5"
-    assert str(anchors[2]) == "x2*x5"
-    assert str(anchors[3]) == "x3*x5^3"
-    assert str(anchors[5]) == "x5^4"
+    fr = translation_frame(oid)
+    assert fr.eta == 4
+    assert strs(fr.delta_sets[1]) == ["1", "x3", "x4", "x5"]
+    assert fr.delta_sets[1] == fr.delta_sets[2]
+    assert strs(fr.delta_sets[3]) == strs(fr.delta_sets[4]) == strs(fr.delta_sets[5]) == ["1"]
+    assert str(fr.anchors[1]) == "x1*x5"
+    assert str(fr.anchors[2]) == "x2*x5"
+    assert str(fr.anchors[3]) == "x3*x5^3"
+    assert str(fr.anchors[5]) == "x5^4"
 
 
 def test_translation_frame_5_2_3_3_1():
     oid = build(Signature(5, 2, 3, 3, 1))
-    anchors, delta_sets, eta = translation_frame(oid)
-    assert eta == 3
-    assert strs(delta_sets[1]) == ["1", "x4", "x5"]
+    fr = translation_frame(oid)
+    assert fr.eta == 3
+    assert strs(fr.delta_sets[1]) == ["1", "x4", "x5"]
 
 
 def test_translation_frame_no_front_variables():
     oid = build(Signature(3, 2, 4, 1, 1))
-    anchors, delta_sets, eta = translation_frame(oid)
-    assert eta == 0
-    assert set(delta_sets) == {1, 2, 3}
-    assert all(strs(delta_sets[a]) == ["1"] for a in delta_sets)
+    fr = translation_frame(oid)
+    assert fr.eta == 0
+    assert set(fr.delta_sets) == {1, 2, 3}
+    assert all(strs(fr.delta_sets[a]) == ["1"] for a in fr.delta_sets)
 
 
 def test_translation_frame_structure_on_grid():
     for sig in small_signatures(4, 5):
         oid = build(sig)
-        anchors, delta_sets, eta = translation_frame(oid)
+        fr = translation_frame(oid)
         border_set = set(oid.border)
         tar_prime_set = set(oid.tar_prime)
         x_top = Monomial.variable(sig.n, sig.n, sig.r - 1)
-        for alpha, anchor in anchors.items():
+        for alpha, anchor in fr.anchors.items():
             assert anchor in border_set
             if alpha < sig.delta:
                 assert anchor == x_top.mul_var(alpha)
             else:
                 assert anchor == Monomial.variable(sig.n, sig.n, sig.s).mul_var(alpha)
         for alpha in range(1, sig.delta):
-            ds = delta_sets[alpha]
+            ds = fr.delta_sets[alpha]
             assert ds[0] == Monomial.unit(sig.n)
             assert ds == sorted(ds, key=negdeglex_key)
-            assert len(ds) == eta
+            assert len(ds) == fr.eta
             for m in ds:
                 prod = m.mul(x_top)
                 assert prod == x_top or prod in tar_prime_set

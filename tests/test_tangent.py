@@ -4,23 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from bordercert import (
-    ArgumentError,
-    BorderSystem,
-    DEFAULT_PRIME,
-    IndeterminateRegistry,
-    Signature,
+from bordercert.borderbasis import BorderSystem, generic_distinguished, specialize_system
+from bordercert.coeffring import DEFAULT_PRIME, IndeterminateRegistry
+from bordercert.modification import build_generic_modification
+from bordercert.monomial import ArgumentError
+from bordercert.orderideal import Signature, build, translation_frame
+from bordercert.tangent import (
     TangentTuple,
-    build,
-    build_generic_modification,
     coordinate_labels,
     coordinate_tangent_tuple,
     dim_U,
-    frame,
-    generic_distinguished,
     independence_rank,
     random_assignment,
-    specialize_system,
     tangent_dimension,
 )
 
@@ -50,7 +45,7 @@ def test_dim_u_small_case():
 
 def test_dim_u_formula_terms():
     oid = build(Signature(5, 2, 3, 3, 0))
-    fr = frame(oid)
+    fr = translation_frame(oid)
     n, delta = oid.signature.n, oid.signature.delta
     assert (
         dim_U(oid)
@@ -111,6 +106,17 @@ def test_tangent_dimension_rejects_unusable_prime():
         tangent_dimension(spec, prime=4)
 
 
+def test_tangent_dimension_checks_prime_before_the_work(monkeypatch):
+    _, spec = _modified_specialized(Signature(5, 2, 3, 3, 0))
+
+    def never(system):
+        raise AssertionError("the border-basis check ran before the modulus was checked")
+
+    monkeypatch.setattr("bordercert.tangent.is_border_basis", never)
+    with pytest.raises(ArgumentError):
+        tangent_dimension(spec, prime=4)
+
+
 def test_tangent_dimension_rejects_non_border_basis():
     _, spec = _modified_specialized(Signature(5, 2, 3, 3, 1))
     tails = [dict(t) for t in spec.tails]
@@ -135,7 +141,7 @@ def test_tangent_tuple_accessors():
 
 def test_frame_structure_5_2_3_3_0():
     oid = build(Signature(5, 2, 3, 3, 0))
-    fr = frame(oid)
+    fr = translation_frame(oid)
     assert fr.eta == 4
     assert fr.labels() == [
         "Z[1,1]", "Z[1,2]", "Z[1,3]", "Z[1,4]",
@@ -158,7 +164,7 @@ def test_frame_structure_5_2_3_3_0():
 
 def test_frame_delta_one_has_no_front_shifts():
     oid = build(Signature(3, 2, 3, 1, 0))
-    fr = frame(oid)
+    fr = translation_frame(oid)
     assert fr.eta == 0
     assert fr.labels() == ["Z[1,1]", "Z[2,1]", "Z[3,1]"]
     assert dim_U(oid) == oid.ell * oid.tau + oid.gamma + 3
@@ -188,7 +194,7 @@ def test_coordinate_labels_cover_dim_u(tuple_fixture):
     assert len(set(labels)) == len(labels)
     assert sum(1 for c in labels if c.startswith("C[")) == oid.ell * oid.tau
     assert sum(1 for c in labels if c.startswith("theta[")) == oid.gamma
-    assert sum(1 for c in labels if c.startswith("Z[")) == frame(oid).size()
+    assert sum(1 for c in labels if c.startswith("Z[")) == translation_frame(oid).size()
 
 
 def test_c_tuples_single_minus_one(tuple_fixture):
@@ -231,7 +237,7 @@ def test_theta_tuples_zero_pattern(tuple_fixture):
 
 def test_z_tuple_key_components(tuple_fixture):
     oid, _, _, _, labels, tuples = tuple_fixture
-    fr = frame(oid)
+    fr = translation_frame(oid)
     sig = oid.signature
     key_slot = {
         (alpha, lam): (idx, fr.anchor_index[alpha])
@@ -253,7 +259,7 @@ def test_z_tuple_key_components(tuple_fixture):
 
 def test_z_tuples_cross_key_zeros(tuple_fixture):
     oid, _, _, _, labels, tuples = tuple_fixture
-    fr = frame(oid)
+    fr = translation_frame(oid)
     delta, n = oid.signature.delta, oid.signature.n
     key_slot = {
         (alpha, lam): (idx, fr.anchor_index[alpha])
@@ -277,7 +283,7 @@ def test_z_tuples_cross_key_zeros(tuple_fixture):
 
 def test_theta_and_c_tuples_vanish_at_key_slots(tuple_fixture):
     oid, _, _, _, labels, tuples = tuple_fixture
-    fr = frame(oid)
+    fr = translation_frame(oid)
     key_slots = [
         (idx, fr.anchor_index[alpha])
         for (alpha, _), idx in fr.key_basis_index.items()
