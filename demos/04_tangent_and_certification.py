@@ -30,7 +30,12 @@ from bordercert import (
     specialize_system,
     tangent_dimension,
 )
-from bordercert.tangent import coordinate_labels, coordinate_tangent_tuple, independence_rank
+from bordercert.tangent import (
+    coordinate_labels,
+    coordinate_tangent_tuple,
+    independence_rank,
+    tangent_point,
+)
 
 
 def main() -> None:
@@ -48,12 +53,13 @@ def main() -> None:
     print()
 
     labels = coordinate_labels(system)
+    point = tangent_point(system, assignment)
     print(f"{len(labels)} coordinate directions: "
           f"{labels[0]} .. {labels[-1]}")
-    c_tuple = coordinate_tangent_tuple(system, assignment, labels[0])
+    c_tuple = coordinate_tangent_tuple(system, point, labels[0])
     print(f"tuple for {labels[0]}: nonzero at {c_tuple.nonzero_positions()}")
     z_label = next(chi for chi in labels if chi.startswith("Z["))
-    z_tuple = coordinate_tangent_tuple(system, assignment, z_label)
+    z_tuple = coordinate_tangent_tuple(system, point, z_label)
     print(f"tuple for {z_label}: {len(z_tuple.nonzero_positions())} nonzero slots")
     print(f"independence rank of all tuples : {independence_rank(system, assignment)}")
     print()

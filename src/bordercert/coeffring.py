@@ -227,16 +227,19 @@ class CoeffPoly:
             total += v
         return total
 
-    def partial(self, ind_id: int) -> "CoeffPoly":
-        """Formal partial derivative with respect to one indeterminate."""
-        terms: Dict[ExponentKey, int] = {}
+    def gradient(self, values: Mapping[int, int]) -> Dict[int, int]:
+        """Nonzero first partial derivatives at an integer point, in one pass
+        over the terms: {indeterminate id: value}."""
+        grad: Dict[int, int] = {}
         for key, c in self.terms.items():
+            powers = [values[ind] ** e for ind, e in key]
             for pos, (ind, e) in enumerate(key):
-                if ind == ind_id:
-                    lowered = ((ind, e - 1),) if e > 1 else ()
-                    terms[key[:pos] + lowered + key[pos + 1 :]] = c * e
-                    break
-        return CoeffPoly(self.registry, terms)
+                d = c * e * values[ind] ** (e - 1)
+                for other, p in enumerate(powers):
+                    if other != pos:
+                        d *= p
+                grad[ind] = grad.get(ind, 0) + d
+        return {ind: d for ind, d in grad.items() if d}
 
     # ------------------------------------------------------------ rendering
 

@@ -58,9 +58,9 @@ def exact_rank(rows: Iterable[SparseRow]) -> int:
                 rank += 1
                 break
             pl, rl = pivot[lead], row[lead]
-            new: Dict[int, int] = {}
-            for c, v in row.items():
-                new[c] = v * pl
+            g = gcd(pl, rl)
+            pl, rl = pl // g, rl // g
+            new = dict(row) if pl == 1 else {c: v * pl for c, v in row.items()}
             for c, v in pivot.items():
                 n = new.get(c, 0) - v * rl
                 if n:

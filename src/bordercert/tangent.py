@@ -14,8 +14,11 @@ sufficiently general specialization, which is the certification criterion.
 Specialized systems hold integers, so every tuple is an integer vector: a
 parameter tuple is a partial derivative of the tails evaluated at the point,
 a translation tuple the reduction of a formal partial derivative of each
-generator.  Prime mode differs only in that the tangent rank is computed
-modulo the prime passed to `tangent_dimension`.
+generator.  A `TangentPoint` specializes the system once per point and holds
+what the tuples share: the specialized system and its generators, the
+translation frame, and the gradients of all tails at the point.  Each tuple
+is read from it.  Prime mode differs only in that the tangent rank is
+computed modulo the prime passed to `tangent_dimension`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from itertools import compress
+from typing import Dict, List, NamedTuple, Tuple
 
 from .borderbasis import (
     BorderSystem,
@@ -145,17 +149,45 @@ def random_assignment(registry: IndeterminateRegistry, seed: int) -> Dict[int, i
     return {i: rng.choice(pool) for i in range(len(registry))}
 
 
-def _parameter_tuple(
-    sys_generic: BorderSystem, values: Dict[int, int], chi_id: int
-) -> TangentTuple:
-    """a_ij = -dY_ij/dchi at the point, as the tails deform to Y_ij - eps*a_ij."""
+class TangentPoint(NamedTuple):
+    """What every coordinate tuple at one integer point shares.
+
+    `jacobian` maps an indeterminate id to the nonzero entries of its
+    parameter tuple, {column: -dY_ij/dchi at the point}; `generators` are
+    the specialized g_j, each checked to reduce to zero.
+    """
+
+    system: BorderSystem
+    values: Dict[int, int]
+    spec: BorderSystem
+    frame: TranslationFrame
+    generators: Tuple[SpanElement, ...]
+    jacobian: Dict[int, Dict[int, int]]
+
+
+def tangent_point(sys_generic: BorderSystem, assignment) -> TangentPoint:
+    """Specialize once and collect what the coordinate tuples at `assignment` read."""
+    if sys_generic.ring.kind != "poly":
+        raise ArgumentError("coordinate tuples differentiate the symbolic system")
     oid = sys_generic.oid
-    mu, nu = oid.mu, oid.nu
-    out = [0] * (mu * nu)
-    for j in range(1, nu + 1):
-        for i, y in sys_generic.tails[j - 1].items():
-            out[_column(mu, i, j)] = -y.partial(chi_id).integer_value(values)
-    return TangentTuple(mu, nu, tuple(out))
+    values = _integer_assignment(sys_generic.ring.registry, assignment)
+    spec = specialize_system(sys_generic, values)
+    generators = []
+    for j in range(1, oid.nu + 1):
+        gen = spec.generator(j)
+        if reduce(gen, spec):
+            raise InternalInvariantError(f"generator {j} does not reduce to zero at order zero")
+        generators.append(gen)
+    # Tails deform to Y_ij - eps*a_ij, so a_ij = -dY_ij/dchi.
+    jacobian: Dict[int, Dict[int, int]] = {}
+    for j, tail in enumerate(sys_generic.tails, start=1):
+        for i, y in tail.items():
+            col = _column(oid.mu, i, j)
+            for ind, d in y.gradient(values).items():
+                jacobian.setdefault(ind, {})[col] = -d
+    return TangentPoint(
+        sys_generic, values, spec, translation_frame(oid), tuple(generators), jacobian
+    )
 
 
 def _formal_partial(f: SpanElement, alpha: int, shift: Monomial) -> SpanElement:
@@ -175,40 +207,38 @@ def _formal_partial(f: SpanElement, alpha: int, shift: Monomial) -> SpanElement:
     return SpanElement(terms)
 
 
-def _translation_tuple(
-    spec_sys: BorderSystem, fr: TranslationFrame, alpha: int, lam: int
-) -> TangentTuple:
-    oid = spec_sys.oid
-    mu, nu = oid.mu, oid.nu
+def _translation_entries(point: TangentPoint, alpha: int, lam: int) -> Dict[int, int]:
+    fr, spec = point.frame, point.spec
     if alpha not in fr.delta_sets or not 1 <= lam <= len(fr.delta_sets[alpha]):
         raise ArgumentError(f"no translation direction Z[{alpha},{lam}]")
     shift = fr.delta_sets[alpha][lam - 1]
-    out = [0] * (mu * nu)
-    for j in range(1, nu + 1):
-        gen = spec_sys.generator(j)
-        if reduce(gen, spec_sys):
-            raise InternalInvariantError(f"generator {j} does not reduce to zero at order zero")
-        for t, v in reduce(_formal_partial(gen, alpha, shift), spec_sys).terms.items():
-            out[_column(mu, oid.index_of_basis[t], j)] = v
-    return TangentTuple(mu, nu, tuple(out))
+    mu, index_of_basis = spec.oid.mu, spec.oid.index_of_basis
+    out: Dict[int, int] = {}
+    for j, gen in enumerate(point.generators, start=1):
+        for t, v in reduce(_formal_partial(gen, alpha, shift), spec).terms.items():
+            out[_column(mu, index_of_basis[t], j)] = v
+    return out
 
 
 def coordinate_tangent_tuple(
-    sys_generic: BorderSystem, assignment, chi: str
+    sys_generic: BorderSystem, point: TangentPoint, chi: str
 ) -> TangentTuple:
-    """Derivative of the constructed family along one coordinate at a point."""
-    if sys_generic.ring.kind != "poly":
-        raise ArgumentError("coordinate tuples differentiate the symbolic system")
-    registry = sys_generic.ring.registry
+    """Derivative of the constructed family along one coordinate at `point`,
+    which `tangent_point` made from `sys_generic`."""
+    if point.system is not sys_generic:
+        raise ArgumentError("the tangent point was made from another system")
     m = _LABEL.fullmatch(chi)
     if m is None:
         raise ArgumentError(f"unknown coordinate {chi!r}")
-    values = _integer_assignment(registry, assignment)
     if chi.startswith("Z["):
-        alpha, lam = int(m.group(2)), int(m.group(3))
-        spec_sys = specialize_system(sys_generic, values)
-        return _translation_tuple(spec_sys, translation_frame(sys_generic.oid), alpha, lam)
-    return _parameter_tuple(sys_generic, values, registry.id_of(chi))
+        entries = _translation_entries(point, int(m.group(2)), int(m.group(3)))
+    else:
+        entries = point.jacobian.get(sys_generic.ring.registry.id_of(chi), {})
+    mu, nu = sys_generic.oid.mu, sys_generic.oid.nu
+    out = [0] * (mu * nu)
+    for col, v in entries.items():
+        out[col] = v
+    return TangentTuple(mu, nu, tuple(out))
 
 
 def coordinate_labels(sys_generic: BorderSystem) -> List[str]:
@@ -223,8 +253,9 @@ def coordinate_labels(sys_generic: BorderSystem) -> List[str]:
 
 def independence_rank(sys_generic: BorderSystem, assignment) -> int:
     """Rank of all coordinate tangent tuples at one specialization."""
+    point = tangent_point(sys_generic, assignment)
     rows = []
     for chi in coordinate_labels(sys_generic):
-        tup = coordinate_tangent_tuple(sys_generic, assignment, chi)
-        rows.append({k: v for k, v in enumerate(tup.values) if v})
+        tup = coordinate_tangent_tuple(sys_generic, point, chi)
+        rows.append(dict(compress(enumerate(tup.values), tup.values)))
     return rank_of(rows)

@@ -34,6 +34,7 @@ from bordercert.tangent import (
     independence_rank,
     random_assignment,
     tangent_dimension,
+    tangent_point,
 )
 
 from helpers import (
@@ -315,8 +316,9 @@ def test_criterion_8f_coordinate_tuple_patterns():
             for (alpha, lam), idx in fr.key_basis_index.items()
         }
         tuples = {}
+        point = tangent_point(system, assignment)
         for chi in coordinate_labels(system):
-            tup = coordinate_tangent_tuple(system, assignment, chi)
+            tup = coordinate_tangent_tuple(system, point, chi)
             tuples[chi] = tup
             positions = tup.nonzero_positions()
             if chi.startswith("C["):

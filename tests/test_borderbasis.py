@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 

@@ -149,16 +149,26 @@ def test_rendering(registry):
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.data())
-def test_partial_obeys_sum_and_product_rules(registry, data):
+def test_gradient_obeys_sum_and_product_rules(registry, data):
     polys = _poly_strategy(registry)
     p, q = data.draw(polys), data.draw(polys)
+    point = data.draw(
+        st.lists(st.integers(-5, 5), min_size=len(registry), max_size=len(registry))
+    )
+    values = dict(enumerate(point))
+    gp, gq = p.gradient(values), q.gradient(values)
+    p0, q0 = p.integer_value(values), q.integer_value(values)
+    g_sum, g_prod = (p + q).gradient(values), (p * q).gradient(values)
+    for ind in range(len(registry)):
+        dp, dq = gp.get(ind, 0), gq.get(ind, 0)
+        assert g_sum.get(ind, 0) == dp + dq
+        # Leibniz rule
+        assert g_prod.get(ind, 0) == dp * q0 + p0 * dq
+    assert 0 not in gp.values()
     ind = data.draw(st.sampled_from(sorted(p.indeterminates() | q.indeterminates()) or [0]))
-    assert (p + q).partial(ind) == p.partial(ind) + q.partial(ind)
-    # Leibniz rule
-    assert (p * q).partial(ind) == p.partial(ind) * q + p * q.partial(ind)
     x = CoeffPoly.indeterminate(registry, ind)
-    assert (x * x * x).partial(ind) == CoeffPoly.constant(registry, 3) * x * x
-    assert CoeffPoly.constant(registry, 7).partial(ind) == CoeffPoly.zero(registry)
+    assert (x * x * x).gradient(values) == ({ind: 3 * values[ind] ** 2} if values[ind] else {})
+    assert CoeffPoly.constant(registry, 7).gradient(values) == {}
 
 
 def test_validated_prime():

@@ -1,11 +1,11 @@
-"""Import hygiene of the package modules.
+"""Import hygiene of the package modules, the tests and the demos.
 
-Every name a module imports is used in that module, and no module imports
-`fractions`: every scalar is an integer.  No linter ships with the test
-dependencies, so this reads each module's syntax tree with the standard
-library.  `__init__.py` is skipped by the unused-name check because it
-imports names only to re-export them; instead it must import exactly the
-names its `__all__` lists.
+Every name a package module, test file or demo imports is used in that file,
+and no package module imports `fractions`: every scalar is an integer.  No
+linter ships with the test dependencies, so this reads each file's syntax
+tree with the standard library.  `__init__.py` is skipped by the unused-name
+check because it imports names only to re-export them; instead it must
+import exactly the names its `__all__` lists.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bordercert"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "bordercert"
 
 
 def _unused_imports(source: str):
@@ -51,10 +52,11 @@ def test_unused_imports_detected():
 
 
 def test_every_imported_name_is_used():
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
     unused = [
-        f"{path.name}:{line}: {name}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in paths
         for line, name in _unused_imports(path.read_text())
     ]
     assert unused == []

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import product
-
 import pytest
 
 from bordercert.monomial import (

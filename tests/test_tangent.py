@@ -17,6 +17,7 @@ from bordercert.tangent import (
     independence_rank,
     random_assignment,
     tangent_dimension,
+    tangent_point,
 )
 
 from helpers import hom_tangent_oracle, paper_table_signatures, small_signatures
@@ -182,8 +183,9 @@ def tuple_fixture():
     system = build_generic_modification(oid, registry)
     assignment = random_assignment(registry, seed=11)
     labels = coordinate_labels(system)
+    point = tangent_point(system, assignment)
     tuples = {
-        chi: coordinate_tangent_tuple(system, assignment, chi) for chi in labels
+        chi: coordinate_tangent_tuple(system, point, chi) for chi in labels
     }
     return oid, registry, system, assignment, labels, tuples
 
@@ -298,12 +300,22 @@ def test_theta_and_c_tuples_vanish_at_key_slots(tuple_fixture):
 
 def test_coordinate_tuple_argument_errors(tuple_fixture):
     oid, registry, system, assignment, _, _ = tuple_fixture
+    point = tangent_point(system, assignment)
     for bad in ("X[1,1]", "theta[99]", "C[1,99]", "Z[9,9]", "junk"):
         with pytest.raises(ArgumentError):
-            coordinate_tangent_tuple(system, assignment, bad)
+            coordinate_tangent_tuple(system, point, bad)
     spec = specialize_system(system, assignment)
     with pytest.raises(ArgumentError):
-        coordinate_tangent_tuple(spec, assignment, "theta[1]")
+        tangent_point(spec, assignment)
+
+
+def test_point_from_another_system_is_rejected(tuple_fixture):
+    oid, registry, system, assignment, _, tuples = tuple_fixture
+    other = build_generic_modification(oid, registry)
+    point = tangent_point(other, assignment)
+    assert coordinate_tangent_tuple(other, point, "theta[1]") == tuples["theta[1]"]
+    with pytest.raises(ArgumentError):
+        coordinate_tangent_tuple(system, point, "theta[1]")
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +325,19 @@ def test_coordinate_tuple_argument_errors(tuple_fixture):
 def test_independence_rank_equals_dim_u(tuple_fixture):
     oid, registry, system, assignment, _, _ = tuple_fixture
     assert independence_rank(system, assignment) == dim_U(oid) == 86
+
+
+def test_independence_rank_specializes_once(tuple_fixture, monkeypatch):
+    oid, registry, system, assignment, _, _ = tuple_fixture
+    calls = []
+
+    def counted(sys, values):
+        calls.append(sys)
+        return specialize_system(sys, values)
+
+    monkeypatch.setattr("bordercert.tangent.specialize_system", counted)
+    assert independence_rank(system, assignment) == 86
+    assert calls == [system]
 
 
 def test_independence_rank_small_case():
