@@ -82,9 +82,7 @@ def _prime(args: argparse.Namespace) -> Optional[int]:
 
 def _build_parser() -> argparse.ArgumentParser:
     flags = functools.partial(argparse.ArgumentParser, add_help=False)
-    verbose = flags()
-    verbose.add_argument("-v", "--verbose", action="count", default=0)
-    located = flags(parents=[verbose])
+    located = flags()
     group = located.add_mutually_exclusive_group(required=True)
     group.add_argument("--signature", help="n,r,s,delta,w")
     group.add_argument("--shape", help="n,kappa,r,s (converted to a signature)")
@@ -108,6 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", parents=[located], help="structural summary of one signature")
     p.add_argument("--json", metavar="PATH", help="write the summary as JSON")
+    p.add_argument("-v", "--verbose", action="count", default=0)
 
     p = sub.add_parser("modify", parents=[located], help="emit the target-assignment dump")
     p.add_argument(
@@ -127,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", parents=[located, report], help="full certification pipeline")
     p.add_argument("--json", metavar="PATH", help="write the report as JSON")
 
-    p = sub.add_parser("batch", parents=[verbose, report], help="certify every signature in a file")
+    p = sub.add_parser("batch", parents=[report], help="certify every signature in a file")
     p.add_argument("input", help="file with one signature n,r,s,delta,w per line")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--json", metavar="PATH", help="write JSON lines to a file")

@@ -287,7 +287,9 @@ def _integer_assignment(registry: IndeterminateRegistry, assignment: Mapping) ->
     gets an integer value (an integral rational is accepted)."""
     values: Dict[int, int] = {}
     for key, raw in assignment.items():
-        ind = registry.id_of(key) if isinstance(key, str) else int(key)
+        ind = registry.id_of(key) if isinstance(key, str) else key
+        if not isinstance(ind, int) or not 0 <= ind < len(registry):
+            raise ArgumentError(f"unknown indeterminate {key!r}")
         if not isinstance(raw, Rational) or raw.denominator != 1:
             raise ArgumentError(f"{registry.name_of(ind)} must take an integer value, got {raw}")
         values[ind] = int(raw)

@@ -103,30 +103,18 @@ def modp_rank(rows: Iterable[SparseRow], prime: int) -> int:
     return rank
 
 
-def dedupe_rows(rows: Iterable[SparseRow], prime: int = 0) -> List[SparseRow]:
-    """Drop exact duplicates up to scaling; empty rows are dropped too."""
+def dedupe_rows(rows: Iterable[SparseRow]) -> List[SparseRow]:
+    """Drop empty rows and rational multiples of an earlier row, keyed by the
+    row with its content stripped and its first entry made positive.  A
+    multiple over Q is a multiple mod p too, so both rank kernels take these rows."""
     seen = set()
     out: List[SparseRow] = []
     for row in rows:
-        if not row:
+        items = sorted((c, n) for c, n in _strip_content(row).items() if n)
+        if not items:
             continue
-        if prime:
-            items = []
-            for c, v in row.items():
-                n = v % prime
-                if n:
-                    items.append((c, n))
-            items.sort()
-            if not items:
-                continue
-            inv = pow(items[0][1], -1, prime)
-            key = tuple((c, (n * inv) % prime) for c, n in items)
-        else:
-            items = sorted((c, n) for c, n in _strip_content(row).items() if n)
-            if not items:
-                continue
-            sign = 1 if items[0][1] > 0 else -1
-            key = tuple((c, sign * n) for c, n in items)
+        sign = 1 if items[0][1] > 0 else -1
+        key = tuple((c, sign * n) for c, n in items)
         if key in seen:
             continue
         seen.add(key)
@@ -138,5 +126,5 @@ def rank_of(rows: Iterable[SparseRow], prime: int = 0) -> int:
     """Deduplicate then rank, over Q (prime=0) or over F_prime for a prime above 2^31."""
     if prime:
         validated_prime(prime)
-    deduped = dedupe_rows(rows, prime)
+    deduped = dedupe_rows(rows)
     return modp_rank(deduped, prime) if prime else exact_rank(deduped)

@@ -11,22 +11,19 @@ tuple per free tail slot, per free target coefficient, and per translation
 direction.  Their joint rank equals the closed-form family dimension at a
 sufficiently general specialization, which is the certification criterion.
 
-Specialized systems hold integers, so every tuple is an integer vector: a
-parameter tuple is a partial derivative of the tails evaluated at the point,
-a translation tuple the reduction of a formal partial derivative of each
-generator.  A `TangentPoint` specializes the system once per point and holds
-what the tuples share: the specialized system and its generators, the
-translation frame, and the gradients of all tails at the point.  Each tuple
-is read from it.  Prime mode differs only in that the tangent rank is
-computed modulo the prime passed to `tangent_dimension`.
+Every tuple is a sparse integer row {column: nonzero value}, as `linalg`
+ranks it: a parameter tuple is a tail gradient at the point, a translation
+tuple the reduction of a generator partial times a shift.  A `TangentPoint`
+specializes the system once per point and holds what the tuples share: the
+specialized system, the translation frame, the tail gradients and each
+generator's partial along each variable.  Prime mode differs only in that
+the tangent rank is computed modulo the prime passed to `tangent_dimension`.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
-from itertools import compress
 from typing import Dict, List, NamedTuple, Tuple
 
 from .borderbasis import (
@@ -39,32 +36,28 @@ from .borderbasis import (
 )
 from .coeffring import IndeterminateRegistry, _integer_assignment, validated_prime
 from .linalg import rank_of
-from .monomial import ArgumentError, InternalInvariantError, Monomial
+from .monomial import ArgumentError, InternalInvariantError
 from .orderideal import OrderIdealData, TranslationFrame, translation_frame
 
 
-@dataclass(frozen=True)
-class TangentTuple:
-    """Dense length-mu*nu vector of deformation coefficients a_ij.
+class TangentTuple(NamedTuple):
+    """Sparse length-mu*nu vector of deformation coefficients a_ij.
 
-    Index order: the basis index i varies fastest, the border index j slowest.
+    `entries` maps a column to a nonzero integer.  Column order: the basis
+    index i varies fastest, the border index j slowest.
     """
 
     mu: int
     nu: int
-    values: Tuple[int, ...]
+    entries: Dict[int, int]
 
     def entry(self, i: int, j: int) -> int:
         if not (1 <= i <= self.mu and 1 <= j <= self.nu):
             raise ArgumentError(f"entry ({i},{j}) outside 1..{self.mu} x 1..{self.nu}")
-        return self.values[(j - 1) * self.mu + (i - 1)]
+        return self.entries.get(_column(self.mu, i, j), 0)
 
     def nonzero_positions(self):
-        out = []
-        for idx, v in enumerate(self.values):
-            if v:
-                out.append((idx % self.mu + 1, idx // self.mu + 1))
-        return out
+        return [(col % self.mu + 1, col // self.mu + 1) for col in sorted(self.entries)]
 
 
 def dim_U(oid: OrderIdealData) -> int:
@@ -153,16 +146,26 @@ class TangentPoint(NamedTuple):
     """What every coordinate tuple at one integer point shares.
 
     `jacobian` maps an indeterminate id to the nonzero entries of its
-    parameter tuple, {column: -dY_ij/dchi at the point}; `generators` are
-    the specialized g_j, each checked to reduce to zero.
+    parameter tuple, {column: -dY_ij/dchi at the point}; `partials` maps a
+    variable index alpha to (dg_1/dx_alpha, ..., dg_nu/dx_alpha) of the
+    specialized generators.
     """
 
     system: BorderSystem
-    values: Dict[int, int]
     spec: BorderSystem
     frame: TranslationFrame
-    generators: Tuple[SpanElement, ...]
+    partials: Dict[int, Tuple[SpanElement, ...]]
     jacobian: Dict[int, Dict[int, int]]
+
+
+def _formal_partial(f: SpanElement, alpha: int) -> SpanElement:
+    """d f / d x_alpha, termwise; dividing by x_alpha cannot merge two terms."""
+    terms = {}
+    for m, c in f.terms.items():
+        e = m.var_degree(alpha)
+        if e:
+            terms[m.div_var(alpha)] = c * e
+    return SpanElement(terms)
 
 
 def tangent_point(sys_generic: BorderSystem, assignment) -> TangentPoint:
@@ -172,12 +175,12 @@ def tangent_point(sys_generic: BorderSystem, assignment) -> TangentPoint:
     oid = sys_generic.oid
     values = _integer_assignment(sys_generic.ring.registry, assignment)
     spec = specialize_system(sys_generic, values)
-    generators = []
-    for j in range(1, oid.nu + 1):
-        gen = spec.generator(j)
-        if reduce(gen, spec):
-            raise InternalInvariantError(f"generator {j} does not reduce to zero at order zero")
-        generators.append(gen)
+    frame = translation_frame(oid)
+    generators = [spec.generator(j) for j in range(1, oid.nu + 1)]
+    partials = {
+        alpha: tuple(_formal_partial(gen, alpha) for gen in generators)
+        for alpha in frame.delta_sets
+    }
     # Tails deform to Y_ij - eps*a_ij, so a_ij = -dY_ij/dchi.
     jacobian: Dict[int, Dict[int, int]] = {}
     for j, tail in enumerate(sys_generic.tails, start=1):
@@ -185,26 +188,7 @@ def tangent_point(sys_generic: BorderSystem, assignment) -> TangentPoint:
             col = _column(oid.mu, i, j)
             for ind, d in y.gradient(values).items():
                 jacobian.setdefault(ind, {})[col] = -d
-    return TangentPoint(
-        sys_generic, values, spec, translation_frame(oid), tuple(generators), jacobian
-    )
-
-
-def _formal_partial(f: SpanElement, alpha: int, shift: Monomial) -> SpanElement:
-    """(d f / d x_alpha) * shift, computed termwise."""
-    terms: Dict[Monomial, object] = {}
-    for m, c in f.terms.items():
-        e = m.var_degree(alpha)
-        if not e:
-            continue
-        key = m.div_var(alpha).mul(shift)
-        v = terms.get(key)
-        v = c * e if v is None else v + c * e
-        if v:
-            terms[key] = v
-        else:
-            terms.pop(key, None)
-    return SpanElement(terms)
+    return TangentPoint(sys_generic, spec, frame, partials, jacobian)
 
 
 def _translation_entries(point: TangentPoint, alpha: int, lam: int) -> Dict[int, int]:
@@ -214,8 +198,8 @@ def _translation_entries(point: TangentPoint, alpha: int, lam: int) -> Dict[int,
     shift = fr.delta_sets[alpha][lam - 1]
     mu, index_of_basis = spec.oid.mu, spec.oid.index_of_basis
     out: Dict[int, int] = {}
-    for j, gen in enumerate(point.generators, start=1):
-        for t, v in reduce(_formal_partial(gen, alpha, shift), spec).terms.items():
+    for j, partial in enumerate(point.partials[alpha], start=1):
+        for t, v in reduce(partial.monomial_multiple(shift), spec).terms.items():
             out[_column(mu, index_of_basis[t], j)] = v
     return out
 
@@ -233,12 +217,8 @@ def coordinate_tangent_tuple(
     if chi.startswith("Z["):
         entries = _translation_entries(point, int(m.group(2)), int(m.group(3)))
     else:
-        entries = point.jacobian.get(sys_generic.ring.registry.id_of(chi), {})
-    mu, nu = sys_generic.oid.mu, sys_generic.oid.nu
-    out = [0] * (mu * nu)
-    for col, v in entries.items():
-        out[col] = v
-    return TangentTuple(mu, nu, tuple(out))
+        entries = dict(point.jacobian.get(sys_generic.ring.registry.id_of(chi), {}))
+    return TangentTuple(sys_generic.oid.mu, sys_generic.oid.nu, entries)
 
 
 def coordinate_labels(sys_generic: BorderSystem) -> List[str]:
@@ -254,8 +234,5 @@ def coordinate_labels(sys_generic: BorderSystem) -> List[str]:
 def independence_rank(sys_generic: BorderSystem, assignment) -> int:
     """Rank of all coordinate tangent tuples at one specialization."""
     point = tangent_point(sys_generic, assignment)
-    rows = []
-    for chi in coordinate_labels(sys_generic):
-        tup = coordinate_tangent_tuple(sys_generic, point, chi)
-        rows.append(dict(compress(enumerate(tup.values), tup.values)))
-    return rank_of(rows)
+    labels = coordinate_labels(sys_generic)
+    return rank_of([coordinate_tangent_tuple(sys_generic, point, chi).entries for chi in labels])

@@ -44,6 +44,12 @@ def test_bad_field_and_trials_are_argument_errors(capsys, tmp_path):
     assert out == ""
 
 
+def test_verbose_is_an_inspect_flag(capsys):
+    code, out, _ = run(["inspect", "--signature", "5,2,3,3,1", "-v"], capsys)
+    assert code == 0 and "basis " in out
+    assert run(["certify", "--signature", "5,2,3,3,1", "-v"], capsys)[0] == 2
+
+
 def test_parser_defaults():
     args = _build_parser().parse_args(["certify", "--signature", "5,2,3,3,1"])
     assert args.trials == 3 and args.seed == 1 and args.field == "exact"

@@ -1,5 +1,6 @@
 """Tests for the coefficient arithmetic layer."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,14 @@ def test_specialize_by_name_and_missing_value(registry):
     del full["theta[2]"]
     with pytest.raises(ArgumentError, match=r"theta\[2\]"):
         _integer_assignment(registry, full)
+
+
+def test_assignment_rejects_keys_outside_the_registry(registry):
+    full = {i: 1 for i in range(len(registry))}
+    beyond = len(registry) + 5
+    for key, value in ((beyond, 1), (-1, 1), (beyond, Fraction(1, 2)), ("X[1]", 1)):
+        with pytest.raises(ArgumentError, match=re.escape(repr(key))):
+            _integer_assignment(registry, {**full, key: value})
 
 
 def test_scalars_must_be_integers(registry):

@@ -143,15 +143,8 @@ def test_dedupe_rows_collapses_scalar_multiples():
     deduped = dedupe_rows(rows)
     assert len(deduped) == 2
     assert exact_rank(deduped) == exact_rank(rows) == 2
-
-
-def test_dedupe_rows_prime_mode():
-    p = DEFAULT_PRIME
-    rows = [
-        {0: 1, 1: 2},
-        {0: 3, 1: 6},
-    ]
-    assert len(dedupe_rows(rows, prime=p)) == 1
+    # a rational multiple is a multiple mod p too, so one key serves both ranks
+    assert rank_of(rows, DEFAULT_PRIME) == modp_rank(rows, DEFAULT_PRIME) == 2
 
 
 @settings(max_examples=30, deadline=None)

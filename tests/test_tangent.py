@@ -131,9 +131,10 @@ def test_tangent_dimension_rejects_non_border_basis():
 
 
 def test_tangent_tuple_accessors():
-    tt = TangentTuple(2, 3, (0, 1, 0, 0, 0, 2))
+    tt = TangentTuple(2, 3, {5: 2, 1: 1})
     assert tt.entry(2, 1) == 1
     assert tt.entry(2, 3) == 2
+    assert tt.entry(1, 2) == 0
     assert tt.nonzero_positions() == [(2, 1), (2, 3)]
     for bad in ((0, 1), (3, 1), (1, 0), (1, 4)):
         with pytest.raises(ArgumentError):
@@ -197,6 +198,25 @@ def test_coordinate_labels_cover_dim_u(tuple_fixture):
     assert sum(1 for c in labels if c.startswith("C[")) == oid.ell * oid.tau
     assert sum(1 for c in labels if c.startswith("theta[")) == oid.gamma
     assert sum(1 for c in labels if c.startswith("Z[")) == translation_frame(oid).size()
+
+
+def test_tuple_entries_are_sparse_nonzero_ints(tuple_fixture):
+    oid, _, _, _, labels, tuples = tuple_fixture
+    for chi in labels:
+        for col, v in tuples[chi].entries.items():
+            assert type(v) is int and v != 0, chi
+            assert col in range(oid.mu * oid.nu), chi
+
+
+def test_tuples_do_not_share_entries_with_the_point(tuple_fixture):
+    _, _, system, assignment, labels, _ = tuple_fixture
+    point = tangent_point(system, assignment)
+    for chi in ("C[12,1]", "theta[1]", labels[-1]):
+        first = coordinate_tangent_tuple(system, point, chi)
+        expected = dict(first.entries)
+        first.entries.clear()
+        first.entries[0] = 99
+        assert coordinate_tangent_tuple(system, point, chi).entries == expected, chi
 
 
 def test_c_tuples_single_minus_one(tuple_fixture):
