@@ -4,16 +4,18 @@ Rows are sparse mappings column -> integer; zero entries are ignored.  The
 rank over the rationals goes through a fraction-free elimination (combine
 rows by cross-multiplication and strip common factors), so no rounding can
 occur anywhere.  Prime mode reduces the entries modulo the prime and uses
-ordinary elimination with pivots normalized to 1; that is the only place
-where prime mode differs from exact mode.  Both kernels take rows shortest
-first and pivot columns sparsest first, which limits fill-in.
+ordinary elimination, each pivot kept unscaled beside the inverse of its
+lead; that is the only place where prime mode differs from exact mode.  Both
+kernels take rows shortest first and pivot columns sparsest first, which
+limits fill-in.  Rank is invariant under transposition, so a caller may pass
+the columns of a tall matrix as rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from math import gcd
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Tuple
 
 from .coeffring import validated_prime
 
@@ -75,7 +77,10 @@ def modp_rank(rows: Iterable[SparseRow], prime: int) -> int:
     """Rank over the field with `prime` elements of integer rows."""
     rows = sorted(rows, key=len)
     pos = _by_column_count(rows)
-    pivots: Dict[int, Dict[int, int]] = {}
+    # A pivot is stored as it stands, with the inverse of its lead: scaling
+    # it to lead 1 would turn nearly every small entry into a residue near
+    # `prime`.
+    pivots: Dict[int, Tuple[Dict[int, int], int]] = {}
     rank = 0
     for raw in rows:
         row = {}
@@ -85,13 +90,13 @@ def modp_rank(rows: Iterable[SparseRow], prime: int) -> int:
                 row[pos[c]] = n
         while row:
             lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = pow(row[lead], -1, prime)
-                pivots[lead] = {c: (v * inv) % prime for c, v in row.items()}
+            found = pivots.get(lead)
+            if found is None:
+                pivots[lead] = (row, pow(row[lead], -1, prime))
                 rank += 1
                 break
-            rl = row[lead]
+            pivot, inv = found
+            rl = row[lead] * inv % prime
             new = dict(row)
             for c, v in pivot.items():
                 n = (new.get(c, 0) - v * rl) % prime

@@ -4,7 +4,9 @@ The first-order deformations of a border basis replace each tail coefficient
 Y_ij by Y_ij - eps*a_ij.  Requiring every neighbor relation to keep reducing
 to zero modulo eps^2 yields one linear equation per (neighbor pair, basis
 monomial) in the mu*nu unknowns a_ij; the tangent dimension is mu*nu minus
-the rank of that system.
+the rank of that system.  The system has several times more equations than
+unknowns, so it is held by column, one sparse {equation: coefficient} vector
+per unknown, and ranked as its transpose.
 
 Coordinate tangent tuples differentiate the constructed family itself: one
 tuple per free tail slot, per free target coefficient, and per translation
@@ -36,7 +38,7 @@ from .borderbasis import (
 )
 from .coeffring import IndeterminateRegistry, _integer_assignment, validated_prime
 from .linalg import rank_of
-from .monomial import ArgumentError, InternalInvariantError
+from .monomial import ArgumentError, InternalInvariantError, Monomial
 from .orderideal import OrderIdealData, TranslationFrame, translation_frame
 
 
@@ -74,6 +76,55 @@ def _column(mu: int, i: int, j: int) -> int:
     return (j - 1) * mu + (i - 1)
 
 
+def _tangent_columns(sys: BorderSystem) -> List[Dict[int, int]]:
+    """The tangent equations held by column: item `_column(mu, i, j)` maps
+    each equation to its coefficient of the unknown a_ij.
+
+    Equation `mu*p + k - 1` is the coefficient of basis monomial k in the
+    first-order part of neighbor pair p.
+    """
+    oid = sys.oid
+    mu = oid.mu
+    index_of_basis = oid.index_of_basis
+    cols: List[Dict[int, int]] = [dict() for _ in range(mu * oid.nu)]
+    normal_forms: Dict[Monomial, List[Tuple[int, int]]] = {}
+
+    def normal_form(m: Monomial) -> List[Tuple[int, int]]:
+        # (basis index, coefficient) of m reduced; a product t*x_alpha recurs
+        # in every neighbor pair with that alpha, so each is reduced once.
+        nf = normal_forms.get(m)
+        if nf is None:
+            terms = reduce(SpanElement.single(m, 1), sys).terms
+            nf = normal_forms[m] = [(index_of_basis[t], c) for t, c in terms.items()]
+        return nf
+
+    def add(vec: Dict[int, int], eq: int, c: int) -> None:
+        v = vec.get(eq)
+        v = c if v is None else v + c
+        if v:
+            vec[eq] = v
+        else:
+            vec.pop(eq, None)
+
+    for p, pair in enumerate(sys.neighbor_pairs()):
+        base = mu * p - 1
+        for i, t in enumerate(oid.basis, start=1):
+            vec = cols[_column(mu, i, pair.j1)]
+            for k, c in normal_form(t.mul_var(pair.alpha)):
+                add(vec, base + k, -c)
+            vec = cols[_column(mu, i, pair.j2)]
+            for k, c in normal_form(t if pair.beta == 0 else t.mul_var(pair.beta)):
+                add(vec, base + k, c)
+        spoly = s_polynomial(sys, pair.j1, pair.j2, pair.alpha, pair.beta)
+        for m, c in spoly.terms.items():
+            j_prime = oid.index_of_border.get(m)
+            if j_prime is None:
+                continue
+            for k in range(1, mu + 1):
+                add(cols[_column(mu, k, j_prime)], base + k, c)
+    return cols
+
+
 def tangent_dimension(sys: BorderSystem, prime: int = 0) -> int:
     """dim of first-order deformations of the border basis at `sys`, with the
     rank taken over Q (prime=0) or over F_prime."""
@@ -88,40 +139,10 @@ def tangent_dimension(sys: BorderSystem, prime: int = 0) -> int:
             f"not a border basis: pair {pair} leaves residue {residue}"
         )
     oid = sys.oid
-    mu, nu = oid.mu, oid.nu
-    index_of_basis = oid.index_of_basis
-    rows: List[Dict[int, int]] = []
-
-    def add(eq: Dict[int, int], col: int, c: int) -> None:
-        v = eq.get(col)
-        v = c if v is None else v + c
-        if v:
-            eq[col] = v
-        else:
-            eq.pop(col, None)
-
-    for pair in sys.neighbor_pairs():
-        eqs: List[Dict[int, int]] = [dict() for _ in range(mu)]
-        for i, t in enumerate(oid.basis, start=1):
-            shifted = reduce(SpanElement.single(t.mul_var(pair.alpha), 1), sys)
-            col = _column(mu, i, pair.j1)
-            for tk, c in shifted.terms.items():
-                add(eqs[index_of_basis[tk] - 1], col, -c)
-            other = t if pair.beta == 0 else t.mul_var(pair.beta)
-            shifted = reduce(SpanElement.single(other, 1), sys)
-            col = _column(mu, i, pair.j2)
-            for tk, c in shifted.terms.items():
-                add(eqs[index_of_basis[tk] - 1], col, c)
-        spoly = s_polynomial(sys, pair.j1, pair.j2, pair.alpha, pair.beta)
-        for m, c in spoly.terms.items():
-            j_prime = oid.index_of_border.get(m)
-            if j_prime is None:
-                continue
-            for k in range(1, mu + 1):
-                add(eqs[k - 1], _column(mu, k, j_prime), c)
-        rows.extend(eq for eq in eqs if eq)
-
-    dim = mu * nu - rank_of(rows, prime)
+    # A matrix and its transpose have the same rank; the system is tall, so
+    # eliminating its columns leaves far fewer vectors to reduce to zero.
+    cols = [vec for vec in _tangent_columns(sys) if vec]
+    dim = oid.mu * oid.nu - rank_of(cols, prime)
     if dim < dim_U(oid):
         raise InternalInvariantError(
             f"tangent dimension {dim} fell below the family dimension {dim_U(oid)}"

@@ -155,6 +155,22 @@ def test_certify_json_byte_identical(capsys, tmp_path):
     assert payload["verdict"] == "ELEMENTARY_CERTIFIED"
 
 
+@pytest.mark.parametrize(
+    "golden, code, flags",
+    [
+        ("certify_5_2_3_3_1", 0, ["--signature", "5,2,3,3,1", "--trials", "2", "--seed", "9"]),
+        ("certify_5_2_3_3_0_prime", 3, ["--signature", "5,2,3,3,0", "--field", "prime", "--trials", "1"]),
+    ],
+)
+def test_certify_report_matches_golden(capsys, tmp_path, golden, code, flags):
+    path = tmp_path / "report.json"
+    assert run(["certify", *flags, "--no-timings", "--json", str(path)], capsys)[:2] == (
+        code,
+        (GOLDEN / f"{golden}.txt").read_text(),
+    )
+    assert path.read_bytes() == (GOLDEN / f"{golden}.json").read_bytes()
+
+
 def test_certify_inconclusive_exit_code(capsys):
     code, out, _ = run(
         ["certify", "--signature", "5,2,3,3,1", "--trials", "1", "--field", "prime"],

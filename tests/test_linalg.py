@@ -79,6 +79,17 @@ def test_rank_invariant_under_column_relabelling(matrix, rng):
     assert modp_rank(relabelled, DEFAULT_PRIME) == modp_rank(sparse, DEFAULT_PRIME)
 
 
+@settings(max_examples=40, deadline=None)
+@given(sparse_matrix_strategy)
+def test_rank_invariant_under_transposition(matrix):
+    sparse = _dense_to_sparse(matrix)
+    transposed = _dense_to_sparse(zip(*matrix))
+    assert exact_rank(transposed) == exact_rank(sparse)
+    assert modp_rank(transposed, DEFAULT_PRIME) == modp_rank(sparse, DEFAULT_PRIME)
+    assert rank_of(transposed) == rank_of(sparse)
+    assert rank_of(transposed, DEFAULT_PRIME) == rank_of(sparse, DEFAULT_PRIME)
+
+
 def test_column_order_is_sparsest_first_ties_by_index():
     rows = [
         {0: 1, 1: 2, 5: 1, 7: 0},
@@ -130,6 +141,21 @@ def test_modp_rank_with_field_scalars():
     ]
     # row2 = 4 * row1, so the rank is 2
     assert modp_rank(rows, p) == 2
+
+
+def test_modp_pivot_with_lead_other_than_one():
+    p = DEFAULT_PRIME
+    c = 5 * pow(3, -1, p) % p
+    # the first row is the pivot on column 0 with lead 3; the second is its
+    # multiple by 1/3 mod p and must reduce to zero through that inverse
+    assert modp_rank([{0: 3, 1: 5}, {0: 1, 1: c}], p) == 1
+    assert modp_rank([{0: 3, 1: 5}, {0: 1, 1: c + 1}], p) == 2
+    # a reduced row becomes a pivot with lead 2 on column 1; the third row is
+    # 2*row1 + 7*row2 and reduces to zero through both pivots
+    rows = [{0: 3, 1: 5, 2: 1}, {0: 3, 1: 7, 2: 4}, {0: 27, 1: 59, 2: 30}]
+    assert modp_rank(rows, p) == 2
+    rows[2][2] += 1
+    assert modp_rank(rows, p) == 3
 
 
 def test_dedupe_rows_collapses_scalar_multiples():

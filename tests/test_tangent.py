@@ -6,6 +6,7 @@ import pytest
 
 from bordercert.borderbasis import BorderSystem, generic_distinguished, specialize_system
 from bordercert.coeffring import DEFAULT_PRIME, IndeterminateRegistry
+from bordercert.linalg import rank_of
 from bordercert.modification import build_generic_modification
 from bordercert.monomial import ArgumentError
 from bordercert.orderideal import Signature, build, translation_frame
@@ -69,6 +70,29 @@ def test_tangent_dimension_86_at_two_seeds():
     for seed in (1, 2):
         oid, spec = _modified_specialized(Signature(5, 2, 3, 3, 0), seed=seed)
         assert tangent_dimension(spec) == 86 == dim_U(oid)
+
+
+def test_tangent_dimension_186_mod_p():
+    oid, spec = _modified_specialized(Signature(6, 2, 4, 4, 0), seed=1)
+    assert tangent_dimension(spec, prime=DEFAULT_PRIME) == 186 == dim_U(oid)
+
+
+def test_tangent_equations_are_ranked_by_column(monkeypatch):
+    oid, spec = _modified_specialized(Signature(5, 2, 3, 3, 1))
+    seen = []
+
+    def capture(rows, prime=0):
+        seen.extend(rows)
+        return rank_of(rows, prime)
+
+    monkeypatch.setattr("bordercert.tangent.rank_of", capture)
+    assert tangent_dimension(spec) == 59
+    # at most one vector per unknown a_ij, indexed by (neighbor pair, basis
+    # monomial); the system is tall, so far fewer vectors than equations
+    n_equations = oid.mu * len(spec.neighbor_pairs())
+    assert 0 < len(seen) <= oid.mu * oid.nu < n_equations
+    assert all(vec for vec in seen)
+    assert all(0 <= eq < n_equations and v for vec in seen for eq, v in vec.items())
 
 
 def test_prime_field_agrees_with_exact():
