@@ -12,12 +12,19 @@ mode is an argument of the tangent rank, not a property of the system.
 For input supported on the basis and its border a single substitution sweep
 suffices (tails live in the span of the basis); any other monomial is peeled
 one variable at a time until it reaches that region.
+
+`is_border_basis` applies the neighbor-pair criterion of Kehrein and Kreuzer
+without building a monomial: an S-polynomial is a combination of products
+t_i * x_k, each of which the order ideal's product table
+(`OrderIdealData.products`) locates as a basis or border index, so the check
+sums tails on those integer codes and substitutes each border code's tail
+once.  Only a nonzero residue is turned back into a `SpanElement`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .coeffring import CoeffPoly, IndeterminateRegistry, _integer_assignment
 from .monomial import ArgumentError, InternalInvariantError, Monomial, negdeglex_key
@@ -173,6 +180,25 @@ class BorderSystem:
     def neighbor_pairs(self) -> Tuple[NeighborPair, ...]:
         return self.oid.neighbor_pairs
 
+    def pair_codes(self) -> Iterator[Tuple[NeighborPair, Dict[int, object]]]:
+        """Each neighbor pair with its `s_polynomial` keyed by `products`
+        codes: i for the basis monomial t_i, -j for the border monomial b_j.
+
+        A tail's products with one variable are distinct, so only a term of
+        the first tail and one of the second can fall on one code.
+        """
+        products = self.oid.products
+        tails = self.tails
+        negated = [{i: -y for i, y in tail.items()} for tail in tails]
+        for pair in self.neighbor_pairs():
+            j1, j2, alpha, beta = pair
+            terms = {products[i][beta]: y for i, y in tails[j2 - 1].items()}
+            for i, y in negated[j1 - 1].items():
+                code = products[i][alpha]
+                v = terms.get(code)
+                terms[code] = y if v is None else v + y
+            yield pair, {code: c for code, c in terms.items() if c}
+
     def total_tail_terms(self) -> int:
         """Total number of nonzero coefficient terms across all tails."""
         count = 0
@@ -308,12 +334,28 @@ def s_polynomial(sys: BorderSystem, j1: int, j2: int, alpha: int, beta: int) -> 
 
 
 def is_border_basis(sys: BorderSystem):
-    """Check every neighbor pair; return (ok, list of (pair, nonzero residue))."""
+    """Check every neighbor pair; return (ok, list of (pair, nonzero residue)).
+
+    The residue is reduce(s_polynomial(pair)) computed on `products` codes:
+    the S-polynomial of a pair lies in the span of the basis and its border,
+    so substituting each border code's tail once leaves basis indices only.
+    """
+    tails = sys.tails
+    basis = sys.oid.basis
     failures = []
-    for pair in sys.neighbor_pairs():
-        residue = reduce(s_polynomial(sys, pair.j1, pair.j2, pair.alpha, pair.beta), sys)
+    for pair, codes in sys.pair_codes():
+        acc: Dict[int, object] = {}
+        for code, c in codes.items():
+            if code > 0:
+                v = acc.get(code)
+                acc[code] = c if v is None else v + c
+                continue
+            for i, y in tails[-code - 1].items():
+                v = acc.get(i)
+                acc[i] = c * y if v is None else v + c * y
+        residue = {basis[i - 1]: c for i, c in acc.items() if c}
         if residue:
-            failures.append((pair, residue))
+            failures.append((pair, SpanElement(residue)))
     return (not failures, failures)
 
 

@@ -135,6 +135,12 @@ def certify(
     t0 = time.perf_counter()
     for k in range(trials):
         trial_seed = seed + k
+        row = {"seed": trial_seed, "tangentDim": None, "field": field_kind}
+        trial_rows.append(row)
+        if mode == "symbolic" and not verified:
+            # The generic system is not a border basis, so no trial has
+            # powers to record or a tangent space to measure.
+            continue
         assignment = random_assignment(registry, trial_seed)
         specialized = specialize_system(system, assignment)
         if mode == "specialized":
@@ -146,16 +152,12 @@ def certify(
                     f"border-basis check failed at seed {trial_seed}: "
                     f"pair {pair} leaves residue {residue}"
                 )
-                trial_rows.append(
-                    {"seed": trial_seed, "tangentDim": None, "field": field_kind}
-                )
                 continue
         if powers is None:
             tp = time.perf_counter()
             powers = [power_in_ideal(specialized, var) for var in range(1, sig.n + 1)]
             timings["powers"] = time.perf_counter() - tp
-        tangent = tangent_dimension(specialized, modulus)
-        trial_rows.append({"seed": trial_seed, "tangentDim": tangent, "field": field_kind})
+        row["tangentDim"] = tangent_dimension(specialized, modulus)
     timings["tangent"] = time.perf_counter() - t0
 
     dims = sorted({t["tangentDim"] for t in trial_rows if t["tangentDim"] is not None})

@@ -10,17 +10,19 @@ The variables split into *front* (x_1..x_(delta-1)), *middle* (x_delta) and
 the special subsets the downstream construction consumes: the degree-r border
 monomials at or above the lex-minimal one (`leading`), the top-degree basis
 monomials (`trailing`), the pools of admissible target terms, and the border
-monomials that will actually carry targets (`s_lead` and `s_deep`).  Two
+monomials that will actually carry targets (`s_lead` and `s_deep`).  Three
 more derived structures live here because they depend on the order ideal
-alone: its neighbor pairs (`OrderIdealData.neighbor_pairs`, computed once per
-order ideal on first use) and the translation frame (`translation_frame`).
+alone: the product table (`OrderIdealData.products`, where each t_i * x_k
+lies, as a basis or border index), the neighbor pairs
+(`OrderIdealData.neighbor_pairs`), both computed once per order ideal on
+first use, and the translation frame (`translation_frame`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .monomial import (
     ArgumentError,
@@ -121,29 +123,54 @@ class OrderIdealData:
         return self.basis[lo : lo + self.hilbert[d]]
 
     @cached_property
-    def neighbor_pairs(self) -> Tuple[NeighborPair, ...]:
-        """All variable-multiple coincidences between border monomials, canonically ordered."""
+    def products(self) -> Tuple[Tuple[int, ...], ...]:
+        """Where each product of a basis monomial with a variable lies.
+
+        ``products[i][k]`` locates t_i * x_k for 1 <= i <= mu and 0 <= k <= n,
+        with x_0 = 1: a basis index i' is stored as i', a border index j as
+        -j.  Every such product lies in the basis or its border, so these
+        mu*(n+1) codes are all a neighbor-pair reduction reads.
+        ``products[0]`` is empty, keeping i 1-based like the tails.
+        """
         n = self.signature.n
-        found = set()
-        for b in self.border:
-            j = self.index_of_border[b]
-            for alpha in range(1, n + 1):
-                m = b.mul_var(alpha)
-                j_next = self.index_of_border.get(m)
+        code = {m.exps: i for m, i in self.index_of_basis.items()}
+        code.update((m.exps, -j) for m, j in self.index_of_border.items())
+        table = [()]
+        for t in self.basis:
+            exps = t.exps
+            row = [code[exps]]
+            for k in range(n):
+                row.append(code[exps[:k] + (exps[k] + 1,) + exps[k + 1 :]])
+            table.append(tuple(row))
+        return tuple(table)
+
+    @cached_property
+    def neighbor_pairs(self) -> Tuple[NeighborPair, ...]:
+        """All variable-multiple coincidences between border monomials, canonically ordered.
+
+        The products x_alpha * b_j are grouped by exponent tuple: two members
+        of one group give a pair with beta > 0, and a group that is itself a
+        border monomial gives a pair with beta = 0 for each member.
+        """
+        n = self.signature.n
+        groups: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
+        for j, b in enumerate(self.border, start=1):
+            exps = b.exps
+            for k in range(n):
+                m = exps[:k] + (exps[k] + 1,) + exps[k + 1 :]
+                groups.setdefault(m, []).append((j, k + 1))
+        border_index = {m.exps: j for m, j in self.index_of_border.items()}
+        found = []
+        for m, members in groups.items():
+            j_next = border_index.get(m)
+            for pos, (j1, alpha) in enumerate(members):
                 if j_next is not None:
-                    found.add(NeighborPair(j, j_next, alpha, 0))
-                for beta in range(1, n + 1):
-                    if beta == alpha or m.var_degree(beta) == 0:
-                        continue
-                    other = m.div_var(beta)
-                    if other == b:
-                        continue
-                    j_other = self.index_of_border.get(other)
-                    if j_other is None:
-                        continue
-                    if j < j_other:
-                        found.add(NeighborPair(j, j_other, alpha, beta))
-        return tuple(sorted(found, key=lambda p: (p.j1, p.j2, p.alpha, p.beta)))
+                    found.append(NeighborPair(j1, j_next, alpha, 0))
+                # members are listed by increasing j, so j1 < j2 below
+                for j2, beta in members[pos + 1 :]:
+                    found.append(NeighborPair(j1, j2, alpha, beta))
+        found.sort()
+        return tuple(found)
 
     def __hash__(self) -> int:
         return hash(self.signature)
@@ -237,8 +264,7 @@ def gamma_formula(sig: Signature) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class NeighborPair:
+class NeighborPair(NamedTuple):
     """Border indices j1 < j2 with x_alpha * b_j1 = x_beta * b_j2.
 
     beta = 0 encodes x_0 = 1, i.e. the product of b_j1 with one variable is

@@ -6,7 +6,10 @@ to zero modulo eps^2 yields one linear equation per (neighbor pair, basis
 monomial) in the mu*nu unknowns a_ij; the tangent dimension is mu*nu minus
 the rank of that system.  The system has several times more equations than
 unknowns, so it is held by column, one sparse {equation: coefficient} vector
-per unknown, and ranked as its transpose.
+per unknown, and ranked as its transpose.  Its coefficients are read from the
+order ideal's product table (`OrderIdealData.products`) and the pairs'
+S-polynomials on the same integer codes (`BorderSystem.pair_codes`); no
+monomial is built or reduced.
 
 Coordinate tangent tuples differentiate the constructed family itself: one
 tuple per free tail slot, per free target coefficient, and per translation
@@ -33,12 +36,11 @@ from .borderbasis import (
     SpanElement,
     is_border_basis,
     reduce,
-    s_polynomial,
     specialize_system,
 )
 from .coeffring import IndeterminateRegistry, _integer_assignment, validated_prime
 from .linalg import rank_of
-from .monomial import ArgumentError, InternalInvariantError, Monomial
+from .monomial import ArgumentError, InternalInvariantError
 from .orderideal import OrderIdealData, TranslationFrame, translation_frame
 
 
@@ -81,22 +83,18 @@ def _tangent_columns(sys: BorderSystem) -> List[Dict[int, int]]:
     each equation to its coefficient of the unknown a_ij.
 
     Equation `mu*p + k - 1` is the coefficient of basis monomial k in the
-    first-order part of neighbor pair p.
+    first-order part of neighbor pair p.  The normal form of t_i * x_k is
+    read from the product table: t_i' itself for a basis code i', the tail
+    of b_j for a border code -j.
     """
     oid = sys.oid
     mu = oid.mu
-    index_of_basis = oid.index_of_basis
     cols: List[Dict[int, int]] = [dict() for _ in range(mu * oid.nu)]
-    normal_forms: Dict[Monomial, List[Tuple[int, int]]] = {}
-
-    def normal_form(m: Monomial) -> List[Tuple[int, int]]:
-        # (basis index, coefficient) of m reduced; a product t*x_alpha recurs
-        # in every neighbor pair with that alpha, so each is reduced once.
-        nf = normal_forms.get(m)
-        if nf is None:
-            terms = reduce(SpanElement.single(m, 1), sys).terms
-            nf = normal_forms[m] = [(index_of_basis[t], c) for t, c in terms.items()]
-        return nf
+    tails = sys.tails
+    normal_forms = [
+        [((code, 1),) if code > 0 else tuple(tails[-code - 1].items()) for code in row]
+        for row in oid.products
+    ]
 
     def add(vec: Dict[int, int], eq: int, c: int) -> None:
         v = vec.get(eq)
@@ -106,22 +104,21 @@ def _tangent_columns(sys: BorderSystem) -> List[Dict[int, int]]:
         else:
             vec.pop(eq, None)
 
-    for p, pair in enumerate(sys.neighbor_pairs()):
+    for p, (pair, codes) in enumerate(sys.pair_codes()):
         base = mu * p - 1
-        for i, t in enumerate(oid.basis, start=1):
-            vec = cols[_column(mu, i, pair.j1)]
-            for k, c in normal_form(t.mul_var(pair.alpha)):
+        j1, j2, alpha, beta = pair
+        for i in range(1, mu + 1):
+            vec = cols[_column(mu, i, j1)]
+            for k, c in normal_forms[i][alpha]:
                 add(vec, base + k, -c)
-            vec = cols[_column(mu, i, pair.j2)]
-            for k, c in normal_form(t if pair.beta == 0 else t.mul_var(pair.beta)):
+            vec = cols[_column(mu, i, j2)]
+            for k, c in normal_forms[i][beta]:
                 add(vec, base + k, c)
-        spoly = s_polynomial(sys, pair.j1, pair.j2, pair.alpha, pair.beta)
-        for m, c in spoly.terms.items():
-            j_prime = oid.index_of_border.get(m)
-            if j_prime is None:
+        for code, c in codes.items():
+            if code > 0:
                 continue
             for k in range(1, mu + 1):
-                add(cols[_column(mu, k, j_prime)], base + k, c)
+                add(cols[_column(mu, k, -code)], base + k, c)
     return cols
 
 

@@ -142,6 +142,63 @@ def test_perturbed_system_fails_with_nonzero_residue():
         assert set(residue.support()) <= set(sys.oid.basis)
 
 
+def _reference_check(sys):
+    """The neighbor-pair criterion through the general API, pair by pair."""
+    failures = []
+    for pair in sys.neighbor_pairs():
+        residue = reduce(s_polynomial(sys, pair.j1, pair.j2, pair.alpha, pair.beta), sys)
+        if residue:
+            failures.append((pair, residue))
+    return (not failures, failures)
+
+
+def _assert_same_check(sys):
+    got, want = is_border_basis(sys), _reference_check(sys)
+    assert got == want
+    assert [str(r) for _, r in got[1]] == [str(r) for _, r in want[1]]
+    return got
+
+
+def _perturbed(sys, j, i, one):
+    tails = [dict(t) for t in sys.tails]
+    tails[j - 1][i] = tails[j - 1].get(i, 0 * one) + 7 * one
+    return BorderSystem(sys.oid, tails, sys.ring)
+
+
+GENERIC = (Signature(3, 2, 3, 2, 1), Signature(3, 4, 6, 2, 1), Signature(5, 2, 3, 3, 1))
+
+
+@pytest.mark.parametrize("sig", GENERIC)
+def test_pair_check_matches_reference_on_generic_systems(sig):
+    oid = build(sig)
+    reg = IndeterminateRegistry(oid)
+    for sys in (generic_distinguished(oid, reg), build_generic_modification(oid, reg)):
+        assert _assert_same_check(sys)[0]
+
+
+@pytest.mark.parametrize("sig", GENERIC + (Signature(4, 3, 4, 2, 1),))
+def test_pair_check_matches_reference_on_specialized_systems(sig):
+    for seed in (1, 2):
+        assert _assert_same_check(_specialized(sig, seed=seed))[0]
+
+
+def test_pair_check_matches_reference_on_perturbed_systems():
+    sig = Signature(5, 2, 3, 3, 1)
+    spec = _specialized(sig)
+    oid = spec.oid
+    # A trailing slot of a leading tail is a free coordinate of the family:
+    # moving it keeps a border basis, and both checks must say so.
+    slots = [(1, 3), (1, 1), (oid.nu, 2), (oid.nu // 2, oid.mu // 2), (oid.ell, oid.mu)]
+    verdicts = [_assert_same_check(_perturbed(spec, j, i, 1))[0] for j, i in slots]
+    assert verdicts == [False, False, False, False, True]
+    reg = IndeterminateRegistry(oid)
+    sym = build_generic_modification(oid, reg)
+    for j, i in slots[:2]:
+        ok, failures = _assert_same_check(_perturbed(sym, j, i, CoeffPoly.constant(reg, 1)))
+        assert not ok
+    assert str(failures[0][0]) == "NeighborPair(j1=1, j2=2, alpha=2, beta=1)"
+
+
 def test_specialize_commutes_with_reduce():
     oid = build(Signature(3, 4, 6, 2, 1))
     reg = IndeterminateRegistry(oid)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 
 import pytest
 
 from bordercert import ArgumentError, Signature, __version__, certify, report_to_json_dict
-from bordercert.certify import inspect_signature
+from bordercert.borderbasis import BorderSystem
+from bordercert.certify import SYMBOLIC_BUDGET, inspect_signature
+from bordercert.coeffring import CoeffPoly
+from bordercert.modification import build_generic_modification
 
 EXPECTED_KEYS = [
     "signature",
@@ -131,3 +135,26 @@ def test_inspect_worked_example_target_sets():
 
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-v"]))
+
+
+@pytest.mark.parametrize("budget", [SYMBOLIC_BUDGET, 0])
+def test_failed_check_is_inconclusive_in_both_modes(monkeypatch, budget):
+    def perturbed(oid, registry):
+        system = build_generic_modification(oid, registry)
+        tails = [dict(t) for t in system.tails]
+        tails[0][3] = tails[0].get(3, CoeffPoly.zero(registry)) + CoeffPoly.constant(registry, 7)
+        return BorderSystem(oid, tails, system.ring)
+
+    # `bordercert.certify` is also the re-exported function; patch the module.
+    module = importlib.import_module("bordercert.certify")
+    monkeypatch.setattr(module, "build_generic_modification", perturbed)
+    report = certify(Signature(5, 2, 3, 3, 1), trials=2, budget=budget)
+    assert report.verdict == "INCONCLUSIVE"
+    assert report.verificationMode == ("symbolic" if budget else "specialized")
+    assert report.powers is None
+    assert [t["tangentDim"] for t in report.trials] == [None, None]
+    assert [t["seed"] for t in report.trials] == [1, 2]
+    prefix = "symbolic border-basis check failed" if budget else "border-basis check failed at seed 1"
+    assert report.evidence[0].startswith(
+        prefix + ": pair NeighborPair(j1=1, j2=2, alpha=2, beta=1) leaves residue "
+    )

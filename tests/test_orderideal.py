@@ -14,6 +14,7 @@ from bordercert.monomial import (
     segment,
 )
 from bordercert.orderideal import (
+    NeighborPair,
     Signature,
     build,
     gamma_formula,
@@ -239,29 +240,51 @@ def test_border_degree_range_and_counts():
 
 
 def brute_force_pairs(oid):
-    """O(nu^2 * n) double loop over all border pairs and variable products."""
+    """O(nu^2 * n^2) double loop over all border pairs and variable products."""
     n = oid.signature.n
+    times = [[None] + [b.mul_var(k) for k in range(1, n + 1)] for b in oid.border]
     pairs = set()
-    border = list(oid.border)
-    for b1 in border:
-        j1 = oid.index_of_border[b1]
-        for b2 in border:
-            j2 = oid.index_of_border[b2]
+    for j1, row1 in enumerate(times, start=1):
+        for j2, row2 in enumerate(times, start=1):
+            b2 = oid.border[j2 - 1]
             for alpha in range(1, n + 1):
-                if b1.mul_var(alpha) == b2:
+                if row1[alpha] == b2:
                     pairs.add((j1, j2, alpha, 0))
                 if j1 < j2:
                     for beta in range(1, n + 1):
-                        if beta != alpha and b1.mul_var(alpha) == b2.mul_var(beta):
+                        if beta != alpha and row1[alpha] == row2[beta]:
                             pairs.add((j1, j2, alpha, beta))
     return pairs
 
 
 def test_neighbor_pairs_match_brute_force():
-    for sig_tuple in [(4, 3, 4, 2, 1), (3, 4, 6, 2, 1), (5, 2, 3, 3, 0), (3, 2, 4, 1, 1)]:
-        oid = build(Signature(*sig_tuple))
+    sigs = small_signatures(4, 6) + [sig for sig in small_signatures(5, 4) if sig.n == 5]
+    assert len(sigs) == 208
+    for sig in sigs:
+        oid = build(sig)
         got = {(p.j1, p.j2, p.alpha, p.beta) for p in oid.neighbor_pairs}
-        assert got == brute_force_pairs(oid)
+        assert got == brute_force_pairs(oid), sig
+
+
+def test_neighbor_pair_is_a_named_tuple():
+    p = build(Signature(3, 4, 6, 2, 1)).neighbor_pairs[0]
+    assert repr(NeighborPair(1, 2, 2, 1)) == "NeighborPair(j1=1, j2=2, alpha=2, beta=1)"
+    assert tuple(p) == (p.j1, p.j2, p.alpha, p.beta)
+
+
+def test_products_locate_every_variable_multiple():
+    for sig in small_signatures(4, 5):
+        oid = build(sig)
+        n = sig.n
+        products = oid.products
+        assert len(products) == oid.mu + 1 and products[0] == ()
+        for i, t in enumerate(oid.basis, start=1):
+            assert len(products[i]) == n + 1
+            assert products[i][0] == i
+            for k in range(1, n + 1):
+                m = t.mul_var(k)
+                want = oid.index_of_basis.get(m) or -oid.index_of_border[m]
+                assert products[i][k] == want, (sig, i, k)
 
 
 def test_neighbor_pairs_examples_and_order():
