@@ -9,9 +9,11 @@ point.  Specialized systems are the same in both fields; the modulus of prime
 mode is an argument of the tangent rank, not a property of the system.
 
 `reduce` rewrites an arbitrary element to one supported on basis monomials.
-For input supported on the basis and its border a single substitution sweep
-suffices (tails live in the span of the basis); any other monomial is peeled
-one variable at a time until it reaches that region.
+A basis monomial stays and a border monomial becomes its tail.  Any other
+monomial starts at t_1 = 1 and is multiplied by its variables one at a time;
+each step is a multiplication map t_i -> NF(t_i * x_k), read from the order
+ideal's product table (`OrderIdealData.products`).  At a border basis these
+maps commute, so the order of the steps does not matter.
 
 `is_border_basis` applies the neighbor-pair criterion of Kehrein and Kreuzer
 without building a monomial: an S-polynomial is a combination of products
@@ -23,16 +25,14 @@ once.  Only a nonzero residue is turned back into a `SpanElement`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .coeffring import CoeffPoly, IndeterminateRegistry, _integer_assignment
 from .monomial import ArgumentError, InternalInvariantError, Monomial, negdeglex_key
 from .orderideal import NeighborPair, OrderIdealData
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(NamedTuple):
     """Which coefficient ring a border system's tails live in."""
 
     kind: str  # "poly" | "rational"; the latter holds integer tails
@@ -148,7 +148,7 @@ class BorderSystem:
     to the coefficient Y_ij, omitting zeros.
     """
 
-    __slots__ = ("oid", "tails", "ring", "_outside_cache", "_index_cache")
+    __slots__ = ("oid", "tails", "ring")
 
     def __init__(self, oid: OrderIdealData, tails: List[Dict[int, object]], ring: RingSpec):
         if len(tails) != oid.nu:
@@ -160,8 +160,6 @@ class BorderSystem:
         self.oid = oid
         self.tails = tuple({i: c for i, c in tail.items() if c} for tail in tails)
         self.ring = ring
-        self._outside_cache: Dict[Monomial, Dict[Monomial, object]] = {}
-        self._index_cache: Dict[Monomial, int] = {}
 
     # ------------------------------------------------------------ accessors
 
@@ -207,62 +205,22 @@ class BorderSystem:
                 count += len(c.terms) if isinstance(c, CoeffPoly) else 1
         return count
 
-    # ------------------------------------------------------------- division
-
-    def _division_index(self, m: Monomial) -> int:
-        """Minimal number of variable divisions taking m into basis-or-border."""
-        cached = self._index_cache.get(m)
-        if cached is not None:
-            return cached
-        oid = self.oid
-        if m in oid.index_of_basis or m in oid.index_of_border:
-            idx = 0
-        else:
-            best = 0  # the unit monomial always divides m and lies in the basis
-            for d in oid.basis:
-                if d.degree > best and d.divides(m):
-                    best = d.degree
-            for d in oid.border:
-                if d.degree > best and d.divides(m):
-                    best = d.degree
-            idx = m.degree - best
-        self._index_cache[m] = idx
-        return idx
-
-    def _normal_form(self, m: Monomial) -> Dict[Monomial, object]:
-        """Reduction of a single monomial: a map basis monomial -> coefficient."""
-        oid = self.oid
-        i = oid.index_of_basis.get(m)
-        if i is not None:
-            return {m: self.ring.one()}
-        cached = self._outside_cache.get(m)
-        if cached is not None:
-            return cached
-        j = oid.index_of_border.get(m)
-        if j is not None:
-            basis = oid.basis
-            out = {basis[k - 1]: c for k, c in self.tails[j - 1].items()}
-        else:
-            idx = self._division_index(m)
-            gamma = None
-            for k in range(1, m.n + 1):
-                if m.var_degree(k) and self._division_index(m.div_var(k)) < idx:
-                    gamma = k
-                    break
-            if gamma is None:
-                raise InternalInvariantError(f"no peeling variable found for {m}")
-            inner = self._normal_form(m.div_var(gamma))
-            out = {}
-            for t, c in inner.items():
-                for t2, c2 in self._normal_form(t.mul_var(gamma)).items():
-                    v = out.get(t2)
-                    v = c * c2 if v is None else v + c * c2
-                    if v:
-                        out[t2] = v
-                    else:
-                        out.pop(t2, None)
-        self._outside_cache[m] = out
-        return out
+    def _times_variable(self, vec: Dict[int, object], k: int) -> Dict[int, object]:
+        """x_k * sum_i vec[i]*t_i, keyed by basis index: t_i * x_k is read
+        from `products`, a code i' > 0 adding to t_i' and a code -j
+        substituting the tail of b_j."""
+        products, tails = self.oid.products, self.tails
+        out: Dict[int, object] = {}
+        for i, c in vec.items():
+            code = products[i][k]
+            if code > 0:
+                v = out.get(code)
+                out[code] = c if v is None else v + c
+                continue
+            for i2, y in tails[-code - 1].items():
+                v = out.get(i2)
+                out[i2] = c * y if v is None else v + c * y
+        return {i: c for i, c in out.items() if c}
 
 
 def generic_distinguished(
@@ -288,24 +246,24 @@ def generic_distinguished(
 def reduce(f: SpanElement, sys: BorderSystem) -> SpanElement:
     """Rewrite f modulo the system onto the basis monomials."""
     oid = sys.oid
-    acc: Dict[Monomial, object] = {}
-
-    def put(m: Monomial, c) -> None:
-        v = acc.get(m)
-        v = c if v is None else v + c
-        if v:
-            acc[m] = v
-        else:
-            acc.pop(m, None)
-
-    basis_index = oid.index_of_basis
+    acc: Dict[int, object] = {}
     for m, c in f.terms.items():
-        if m in basis_index:
-            put(m, c)
+        i = oid.index_of_basis.get(m)
+        j = oid.index_of_border.get(m)
+        if i is not None:
+            vec = {i: c}
+        elif j is not None:
+            vec = {i2: c * y for i2, y in sys.tails[j - 1].items()}
         else:
-            for t, y in sys._normal_form(m).items():
-                put(t, c * y)
-    return SpanElement(acc)
+            vec = {1: c}
+            for k, e in enumerate(m.exps, start=1):
+                for _ in range(e):
+                    vec = sys._times_variable(vec, k)
+        for i, v in vec.items():
+            w = acc.get(i)
+            acc[i] = v if w is None else w + v
+    basis = oid.basis
+    return SpanElement({basis[i - 1]: c for i, c in acc.items()})
 
 
 def s_polynomial(sys: BorderSystem, j1: int, j2: int, alpha: int, beta: int) -> SpanElement:
@@ -375,9 +333,10 @@ def power_in_ideal(sys: BorderSystem, k: int) -> int:
     if not 1 <= k <= sig.n:
         raise ArgumentError(f"variable index {k} out of range 1..{sig.n}")
     bound = (sig.s + 1) * oid.mu
+    vec = {1: sys.ring.one()}  # t_1 = 1
     for e in range(1, bound + 1):
-        f = SpanElement.single(Monomial.variable(sig.n, k, e), sys.ring.one())
-        if not reduce(f, sys):
+        vec = sys._times_variable(vec, k)
+        if not vec:
             return e
     raise InternalInvariantError(
         f"x{k}^e does not reduce to zero for any e <= {bound}; system is not supported at the origin"

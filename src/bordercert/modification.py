@@ -112,10 +112,6 @@ def _deep_factorization(oid: OrderIdealData, b: Monomial):
     return m_prime, b_src
 
 
-def _truncated(f: SpanElement, max_degree: int) -> SpanElement:
-    return SpanElement({t: c for t, c in f.terms.items() if t.degree <= max_degree})
-
-
 def step2(oid: OrderIdealData, tm: TargetMap) -> TargetMap:
     """Extend the targets to the deeper target-bearing border monomials."""
     sig = oid.signature
@@ -125,7 +121,11 @@ def step2(oid: OrderIdealData, tm: TargetMap) -> TargetMap:
         src = tm.targets.get(oid.index_of_border[b_src])
         if src is None:
             raise ArgumentError("step2 requires the degree-r targets from step1")
-        extra[oid.index_of_border[b]] = _truncated(src.monomial_multiple(m_prime), sig.s)
+        # targets stop at degree s, so drop a term before m' would lift it past s
+        bound = sig.s - m_prime.degree
+        extra[oid.index_of_border[b]] = SpanElement(
+            {t.mul(m_prime): c for t, c in src.terms.items() if t.degree <= bound}
+        )
     return tm.with_targets(extra)
 
 

@@ -18,11 +18,16 @@ sufficiently general specialization, which is the certification criterion.
 
 Every tuple is a sparse integer row {column: nonzero value}, as `linalg`
 ranks it: a parameter tuple is a tail gradient at the point, a translation
-tuple the reduction of a generator partial times a shift.  A `TangentPoint`
-specializes the system once per point and holds what the tuples share: the
-specialized system, the translation frame, the tail gradients and each
-generator's partial along each variable.  Prime mode differs only in that
-the tangent rank is computed modulo the prime passed to `tangent_dimension`.
+tuple the normal form of a generator partial times a shift.  A `TangentPoint`
+specializes the system once per point, refuses it unless it is a border
+basis, and holds what the tuples share: the specialized system, the
+translation frame, the tail gradients and each generator's partial along
+each variable, already reduced to a vector on basis indices.  A translation
+tuple multiplies that vector by the shift one variable at a time, each step
+read from the product table; at a border basis the multiplication maps
+commute, so this is the normal form of the partial times the shift.  Prime
+mode differs only in that the tangent rank is computed modulo the prime
+passed to `tangent_dimension`.
 """
 
 from __future__ import annotations
@@ -122,6 +127,13 @@ def _tangent_columns(sys: BorderSystem) -> List[Dict[int, int]]:
     return cols
 
 
+def _require_border_basis(spec: BorderSystem) -> None:
+    ok, failures = is_border_basis(spec)
+    if not ok:
+        pair, residue = failures[0]
+        raise ArgumentError(f"not a border basis: pair {pair} leaves residue {residue}")
+
+
 def tangent_dimension(sys: BorderSystem, prime: int = 0) -> int:
     """dim of first-order deformations of the border basis at `sys`, with the
     rank taken over Q (prime=0) or over F_prime."""
@@ -129,12 +141,7 @@ def tangent_dimension(sys: BorderSystem, prime: int = 0) -> int:
         validated_prime(prime)
     if sys.ring.kind != "rational":
         raise ArgumentError("tangent dimension needs a specialized system")
-    ok, failures = is_border_basis(sys)
-    if not ok:
-        pair, residue = failures[0]
-        raise ArgumentError(
-            f"not a border basis: pair {pair} leaves residue {residue}"
-        )
+    _require_border_basis(sys)
     oid = sys.oid
     # A matrix and its transpose have the same rank; the system is tall, so
     # eliminating its columns leaves far fewer vectors to reduce to zero.
@@ -165,25 +172,27 @@ class TangentPoint(NamedTuple):
 
     `jacobian` maps an indeterminate id to the nonzero entries of its
     parameter tuple, {column: -dY_ij/dchi at the point}; `partials` maps a
-    variable index alpha to (dg_1/dx_alpha, ..., dg_nu/dx_alpha) of the
-    specialized generators.
+    variable index alpha to the normal forms of (dg_1/dx_alpha, ...,
+    dg_nu/dx_alpha) of the specialized generators, each {basis index: value}.
     """
 
     system: BorderSystem
     spec: BorderSystem
     frame: TranslationFrame
-    partials: Dict[int, Tuple[SpanElement, ...]]
+    partials: Dict[int, Tuple[Dict[int, int], ...]]
     jacobian: Dict[int, Dict[int, int]]
 
 
-def _formal_partial(f: SpanElement, alpha: int) -> SpanElement:
-    """d f / d x_alpha, termwise; dividing by x_alpha cannot merge two terms."""
+def _reduced_partial(spec: BorderSystem, f: SpanElement, alpha: int) -> Dict[int, int]:
+    """Normal form of d f / d x_alpha on basis indices.  Differentiating is
+    termwise, since dividing by x_alpha cannot merge two terms."""
     terms = {}
     for m, c in f.terms.items():
         e = m.var_degree(alpha)
         if e:
             terms[m.div_var(alpha)] = c * e
-    return SpanElement(terms)
+    index_of_basis = spec.oid.index_of_basis
+    return {index_of_basis[t]: v for t, v in reduce(SpanElement(terms), spec).terms.items()}
 
 
 def tangent_point(sys_generic: BorderSystem, assignment) -> TangentPoint:
@@ -193,10 +202,11 @@ def tangent_point(sys_generic: BorderSystem, assignment) -> TangentPoint:
     oid = sys_generic.oid
     values = _integer_assignment(sys_generic.ring.registry, assignment)
     spec = specialize_system(sys_generic, values)
+    _require_border_basis(spec)
     frame = translation_frame(oid)
     generators = [spec.generator(j) for j in range(1, oid.nu + 1)]
     partials = {
-        alpha: tuple(_formal_partial(gen, alpha) for gen in generators)
+        alpha: tuple(_reduced_partial(spec, gen, alpha) for gen in generators)
         for alpha in frame.delta_sets
     }
     # Tails deform to Y_ij - eps*a_ij, so a_ij = -dY_ij/dchi.
@@ -214,11 +224,14 @@ def _translation_entries(point: TangentPoint, alpha: int, lam: int) -> Dict[int,
     if alpha not in fr.delta_sets or not 1 <= lam <= len(fr.delta_sets[alpha]):
         raise ArgumentError(f"no translation direction Z[{alpha},{lam}]")
     shift = fr.delta_sets[alpha][lam - 1]
-    mu, index_of_basis = spec.oid.mu, spec.oid.index_of_basis
+    mu = spec.oid.mu
     out: Dict[int, int] = {}
-    for j, partial in enumerate(point.partials[alpha], start=1):
-        for t, v in reduce(partial.monomial_multiple(shift), spec).terms.items():
-            out[_column(mu, index_of_basis[t], j)] = v
+    for j, vec in enumerate(point.partials[alpha], start=1):
+        for k, e in enumerate(shift.exps, start=1):
+            for _ in range(e):
+                vec = spec._times_variable(vec, k)
+        for i, v in vec.items():
+            out[_column(mu, i, j)] = v
     return out
 
 

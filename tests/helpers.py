@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from bordercert import Signature
+from bordercert.borderbasis import BorderSystem
 
 
 def fraction_rank(rows):
@@ -55,6 +56,13 @@ def membership_rows(sys, mult_degree):
                     row[col_of[t]] = c
                 rows.append(row)
     return rows, col_of
+
+
+def perturbed(sys, j, i, one):
+    """`sys` with 7 * one added to the coefficient of t_i in the tail of b_j."""
+    tails = [dict(t) for t in sys.tails]
+    tails[j - 1][i] = tails[j - 1].get(i, 0 * one) + 7 * one
+    return BorderSystem(sys.oid, tails, sys.ring)
 
 
 def as_dense_row(f, col_of):

@@ -20,7 +20,7 @@ from bordercert.coeffring import CoeffPoly, IndeterminateRegistry, _integer_assi
 from bordercert.modification import build_generic_modification
 from bordercert.monomial import ArgumentError, Monomial, monomials_of
 from bordercert.orderideal import Signature, build
-from helpers import as_dense_row, fraction_rank, membership_rows
+from helpers import as_dense_row, fraction_rank, membership_rows, perturbed
 
 
 def _random_assignment(registry, seed):
@@ -159,12 +159,6 @@ def _assert_same_check(sys):
     return got
 
 
-def _perturbed(sys, j, i, one):
-    tails = [dict(t) for t in sys.tails]
-    tails[j - 1][i] = tails[j - 1].get(i, 0 * one) + 7 * one
-    return BorderSystem(sys.oid, tails, sys.ring)
-
-
 GENERIC = (Signature(3, 2, 3, 2, 1), Signature(3, 4, 6, 2, 1), Signature(5, 2, 3, 3, 1))
 
 
@@ -189,12 +183,12 @@ def test_pair_check_matches_reference_on_perturbed_systems():
     # A trailing slot of a leading tail is a free coordinate of the family:
     # moving it keeps a border basis, and both checks must say so.
     slots = [(1, 3), (1, 1), (oid.nu, 2), (oid.nu // 2, oid.mu // 2), (oid.ell, oid.mu)]
-    verdicts = [_assert_same_check(_perturbed(spec, j, i, 1))[0] for j, i in slots]
+    verdicts = [_assert_same_check(perturbed(spec, j, i, 1))[0] for j, i in slots]
     assert verdicts == [False, False, False, False, True]
     reg = IndeterminateRegistry(oid)
     sym = build_generic_modification(oid, reg)
     for j, i in slots[:2]:
-        ok, failures = _assert_same_check(_perturbed(sym, j, i, CoeffPoly.constant(reg, 1)))
+        ok, failures = _assert_same_check(perturbed(sym, j, i, CoeffPoly.constant(reg, 1)))
         assert not ok
     assert str(failures[0][0]) == "NeighborPair(j1=1, j2=2, alpha=2, beta=1)"
 

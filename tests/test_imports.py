@@ -1,7 +1,8 @@
 """Import hygiene of the package modules, the tests and the demos.
 
 Every name a package module, test file or demo imports is used in that file,
-and no package module imports `fractions`: every scalar is an integer.  No
+no package module imports `fractions`: every scalar is an integer, and every
+private function of the package is named outside its own body.  No
 linter ships with the test dependencies, so this reads each file's syntax
 tree with the standard library.  `__init__.py` is skipped by the unused-name
 check because it imports names only to re-export them; instead it must
@@ -11,6 +12,7 @@ import exactly the names its `__all__` lists.
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +62,53 @@ def test_every_imported_name_is_used():
         for line, name in _unused_imports(path.read_text())
     ]
     assert unused == []
+
+
+def _referenced_names(node):
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _dead_private_functions(sources):
+    """Private, non-dunder functions and methods named nowhere but in their
+    own body, across all `sources` as (label, text) pairs."""
+    trees = [(label, ast.parse(text)) for label, text in sources]
+    refs = Counter()
+    for _, tree in trees:
+        refs.update(_referenced_names(tree))
+    dead = []
+    for label, tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+                continue
+            if refs[name] - _referenced_names(node)[name] <= 0:
+                dead.append(f"{label}:{node.lineno}: {name}")
+    return dead
+
+
+def test_dead_private_functions_detected():
+    sources = [
+        (
+            "a.py",
+            "def _used():\n    return 1\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "def __dunder__():\n    pass\n"
+            "class K:\n    def _method(self):\n        return 2\n",
+        ),
+        ("b.py", "from a import _used\nx = _used()\n"),
+    ]
+    assert _dead_private_functions(sources) == ["a.py:3: _recursive", "a.py:8: _method"]
+
+
+def test_every_private_function_is_referenced():
+    sources = [(p.name, p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
+    assert _dead_private_functions(sources) == []
 
 
 def test_imported_modules_detected():

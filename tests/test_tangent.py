@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from bordercert.borderbasis import BorderSystem, generic_distinguished, specialize_system
-from bordercert.coeffring import DEFAULT_PRIME, IndeterminateRegistry
+from bordercert.borderbasis import (
+    SpanElement,
+    generic_distinguished,
+    is_border_basis,
+    reduce,
+    specialize_system,
+)
+from bordercert.coeffring import DEFAULT_PRIME, CoeffPoly, IndeterminateRegistry
 from bordercert.linalg import rank_of
 from bordercert.modification import build_generic_modification
 from bordercert.monomial import ArgumentError
@@ -21,7 +29,7 @@ from bordercert.tangent import (
     tangent_point,
 )
 
-from helpers import hom_tangent_oracle, paper_table_signatures, small_signatures
+from helpers import hom_tangent_oracle, paper_table_signatures, perturbed, small_signatures
 
 
 def _modified_specialized(sig, seed=1):
@@ -144,10 +152,8 @@ def test_tangent_dimension_checks_prime_before_the_work(monkeypatch):
 
 def test_tangent_dimension_rejects_non_border_basis():
     _, spec = _modified_specialized(Signature(5, 2, 3, 3, 1))
-    tails = [dict(t) for t in spec.tails]
-    tails[0][1] = tails[0].get(1, 0) + 7
     with pytest.raises(ArgumentError):
-        tangent_dimension(BorderSystem(spec.oid, tails, spec.ring))
+        tangent_dimension(perturbed(spec, 1, 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +357,54 @@ def test_coordinate_tuple_argument_errors(tuple_fixture):
     spec = specialize_system(system, assignment)
     with pytest.raises(ArgumentError):
         tangent_point(spec, assignment)
+
+
+def test_tangent_point_rejects_non_border_basis():
+    # Translation tuples walk the multiplication maps, which commute only at a
+    # border basis, so a point off the family is refused up front.
+    oid = build(Signature(5, 2, 3, 3, 1))
+    registry = IndeterminateRegistry(oid)
+    system = build_generic_modification(oid, registry)
+    bad = perturbed(system, 1, 3, CoeffPoly.constant(registry, 1))
+    assignment = random_assignment(registry, seed=1)
+    ok, failures = is_border_basis(specialize_system(bad, assignment))
+    assert not ok
+    first = re.escape(f"not a border basis: pair {failures[0][0]}")
+    with pytest.raises(ArgumentError, match=first):
+        tangent_point(bad, assignment)
+
+
+def _partial(f, alpha):
+    out = {}
+    for m, c in f.terms.items():
+        e = m.var_degree(alpha)
+        if e:
+            out[m.div_var(alpha)] = c * e
+    return SpanElement(out)
+
+
+@pytest.mark.parametrize("sig", [Signature(5, 2, 3, 3, 0), Signature(6, 2, 4, 4, 0)])
+def test_translation_tuples_match_direct_reduction(sig):
+    """Z[alpha,lam] holds reduce(dg_j/dx_alpha * shift) in column j, reduced
+    here from the full product rather than walked from the reduced partial."""
+    oid = build(sig)
+    registry = IndeterminateRegistry(oid)
+    system = build_generic_modification(oid, registry)
+    assignment = random_assignment(registry, seed=2)
+    point = tangent_point(system, assignment)
+    spec = specialize_system(system, assignment)
+    frame = translation_frame(oid)
+    labels = [chi for chi in coordinate_labels(system) if chi.startswith("Z[")]
+    assert len(labels) == frame.size()
+    for chi in labels:
+        alpha, lam = (int(p) for p in chi[2:-1].split(","))
+        shift = frame.delta_sets[alpha][lam - 1]
+        expected = {}
+        for j in range(1, oid.nu + 1):
+            product = _partial(spec.generator(j), alpha).monomial_multiple(shift)
+            for t, v in reduce(product, spec).terms.items():
+                expected[(j - 1) * oid.mu + oid.index_of_basis[t] - 1] = v
+        assert coordinate_tangent_tuple(system, point, chi).entries == expected, chi
 
 
 def test_point_from_another_system_is_rejected(tuple_fixture):
