@@ -1,10 +1,10 @@
 """End-to-end certification of one signature, with a machine-readable report.
 
 The pipeline: build the order ideal, construct the generic modification,
-verify the border-basis property (symbolically when the system is small
-enough, otherwise at each random specialization), record the least power of
-every variable lying in the ideal, run the tangent-dimension computation at
-several seeded specializations, and compare the minimum against the
+verify once, symbolically, that the whole family is made of border bases,
+record the least power of every variable lying in the ideal, run the
+tangent-dimension computation at several seeded specializations (each of
+which checks its own point again), and compare the minimum against the
 closed-form family dimension.
 """
 
@@ -25,8 +25,6 @@ from .monomial import ArgumentError
 from .orderideal import Signature, build, translation_frame
 from .tangent import dim_U, random_assignment, tangent_dimension
 from .version import __version__
-
-SYMBOLIC_BUDGET = 20000  # total tail terms up to which the symbolic check runs
 
 
 @dataclass
@@ -87,9 +85,11 @@ def rank_modulus(field_kind: str, prime: Optional[int] = None) -> int:
     """The `prime` argument of the tangent rank: 0 for exact, else the modulus."""
     if field_kind not in ("exact", "prime"):
         raise ArgumentError(f"unknown field {field_kind!r} (use 'exact' or 'prime')")
-    if prime is not None:
-        prime = validated_prime(prime)
-    return (prime or DEFAULT_PRIME) if field_kind == "prime" else 0
+    if field_kind == "exact":
+        if prime is not None:
+            raise ArgumentError("a modulus (--prime) needs field 'prime' (--field prime)")
+        return 0
+    return DEFAULT_PRIME if prime is None else validated_prime(prime)
 
 
 def certify(
@@ -98,7 +98,6 @@ def certify(
     field_kind: str = "exact",
     seed: int = 1,
     prime: Optional[int] = None,
-    budget: int = SYMBOLIC_BUDGET,
 ) -> CertificationReport:
     """Run the whole pipeline for one signature."""
     if trials < 1:
@@ -115,19 +114,13 @@ def certify(
     principal = sig.n * oid.mu
     eta = translation_frame(oid).eta
 
-    verified = True
     t0 = time.perf_counter()
-    if system.total_tail_terms() <= budget:
-        mode = "symbolic"
-        ok, failures = is_border_basis(system)
-        if not ok:
-            verified = False
-            pair, residue = failures[0]
-            evidence.append(
-                f"symbolic border-basis check failed: pair {pair} leaves residue {residue}"
-            )
-    else:
-        mode = "specialized"
+    verified, failures = is_border_basis(system)
+    if not verified:
+        pair, residue = failures[0]
+        evidence.append(
+            f"symbolic border-basis check failed: pair {pair} leaves residue {residue}"
+        )
     timings["verification"] = time.perf_counter() - t0
 
     powers: Optional[List[int]] = None
@@ -137,22 +130,11 @@ def certify(
         trial_seed = seed + k
         row = {"seed": trial_seed, "tangentDim": None, "field": field_kind}
         trial_rows.append(row)
-        if mode == "symbolic" and not verified:
+        if not verified:
             # The generic system is not a border basis, so no trial has
             # powers to record or a tangent space to measure.
             continue
-        assignment = random_assignment(registry, trial_seed)
-        specialized = specialize_system(system, assignment)
-        if mode == "specialized":
-            ok, failures = is_border_basis(specialized)
-            if not ok:
-                verified = False
-                pair, residue = failures[0]
-                evidence.append(
-                    f"border-basis check failed at seed {trial_seed}: "
-                    f"pair {pair} leaves residue {residue}"
-                )
-                continue
+        specialized = specialize_system(system, random_assignment(registry, trial_seed))
         if powers is None:
             tp = time.perf_counter()
             powers = [power_in_ideal(specialized, var) for var in range(1, sig.n + 1)]
@@ -191,7 +173,7 @@ def certify(
         eta=eta,
         dimU=family_dim,
         principalDim=principal,
-        verificationMode=mode,
+        verificationMode="symbolic",
         powers=powers,
         trials=trial_rows,
         verdict=verdict,

@@ -20,14 +20,12 @@ from typing import List, Optional, Tuple
 
 from .borderbasis import is_border_basis, specialize_system
 from .certify import (
-    SYMBOLIC_BUDGET,
     certify,
     generic_system,
     inspect_signature,
     rank_modulus,
     report_to_json_dict,
 )
-from .coeffring import validated_prime
 from .modification import build_targets, render_targets
 from .monomial import ArgumentError, InternalInvariantError
 from .orderideal import Signature, build, shape_to_signature
@@ -64,22 +62,6 @@ def _signature(args: argparse.Namespace) -> Signature:
     return shape_to_signature(n, kappa, r, s)
 
 
-def _prime(args: argparse.Namespace) -> Optional[int]:
-    """The --field prime modulus from --prime or BORDERCERT_PRIME; None means the default."""
-    if args.field != "prime":
-        if args.prime is not None:
-            raise ArgumentError("--prime is only valid with --field prime")
-        return None
-    if args.prime is not None:
-        return validated_prime(args.prime)
-    env = os.environ.get("BORDERCERT_PRIME")
-    if env:
-        if not env.strip().isdigit():
-            raise ArgumentError(f"BORDERCERT_PRIME must be an integer, got {env!r}")
-        return validated_prime(int(env.strip()))
-    return None
-
-
 def _build_parser() -> argparse.ArgumentParser:
     flags = functools.partial(argparse.ArgumentParser, add_help=False)
     located = flags()
@@ -90,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--seed", type=int, default=1)
     trials = flags(parents=[seed])
     trials.add_argument("--trials", type=_trial_count, default=3)
-    trials.add_argument("--budget", type=int, default=SYMBOLIC_BUDGET)
     field = flags()
     field.add_argument("--field", choices=("exact", "prime"), default="exact")
     field.add_argument("--prime", type=int, default=None, help="modulus for --field prime")
@@ -116,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser(
-        "verify", parents=[located, trials], help="border-basis check of the modified system"
+        "verify", parents=[located], help="symbolic border-basis check of the modified system"
     )
 
     sub.add_parser(
@@ -165,26 +146,16 @@ def _cmd_modify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _, registry, system = generic_system(_signature(args))
-    if system.total_tail_terms() <= args.budget:
-        checks = [("symbolic", system)]
-    else:
-        checks = [
-            (f"seed {seed}", specialize_system(system, random_assignment(registry, seed)))
-            for seed in range(args.seed, args.seed + args.trials)
-        ]
-    ok_all = True
-    for label, checked in checks:
-        ok, failures = is_border_basis(checked)
-        ok_all = ok_all and ok
-        print(f"{label} border-basis check: {'ok' if ok else 'FAILED'}")
-        for pair, residue in failures[:5]:
-            print(f"  pair {pair}: residue {residue}", file=sys.stderr)
-    return EXIT_OK if ok_all else EXIT_INCONCLUSIVE
+    _, _, system = generic_system(_signature(args))
+    ok, failures = is_border_basis(system)
+    print(f"symbolic border-basis check: {'ok' if ok else 'FAILED'}")
+    for pair, residue in failures[:5]:
+        print(f"  pair {pair}: residue {residue}", file=sys.stderr)
+    return EXIT_OK if ok else EXIT_INCONCLUSIVE
 
 
 def _cmd_tangent(args: argparse.Namespace) -> int:
-    modulus = rank_modulus(args.field, _prime(args))
+    modulus = rank_modulus(args.field, args.prime)
     oid, registry, system = generic_system(_signature(args))
     spec = specialize_system(system, random_assignment(registry, args.seed))
     tangent = tangent_dimension(spec, modulus)
@@ -196,19 +167,16 @@ def _cmd_tangent(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    report = certify(
-        _signature(args),
-        trials=args.trials,
-        field_kind=args.field,
-        seed=args.seed,
-        prime=_prime(args),
-        budget=args.budget,
-    )
-    payload = report_to_json_dict(report, include_timings=not args.no_timings)
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(payload, f, indent=2)
-            f.write("\n")
+    sig = _signature(args)
+    rank_modulus(args.field, args.prime)  # argument errors before the report file is opened
+    with open(args.json, "w") if args.json else contextlib.nullcontext() as out:
+        report = certify(
+            sig, trials=args.trials, field_kind=args.field, seed=args.seed, prime=args.prime
+        )
+        if out:
+            payload = report_to_json_dict(report, include_timings=not args.no_timings)
+            json.dump(payload, out, indent=2)
+            out.write("\n")
     print(f"signature     {report.signature}")
     print(f"verdict       {report.verdict}")
     print(f"dimU          {report.dimU}")
@@ -232,26 +200,26 @@ def _batch_entry(line: str, include_timings: bool, **settings) -> Tuple[dict, bo
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    rank_modulus(args.field, args.prime)  # a bad field or prime fails the whole batch
     run_line = functools.partial(
         _batch_entry,
         include_timings=not args.no_timings,
         trials=args.trials,
         field_kind=args.field,
         seed=args.seed,
-        prime=_prime(args),
-        budget=args.budget,
+        prime=args.prime,
     )
     with open(args.input) as f:
         lines = [ln.strip() for ln in f]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     # fork starts every worker at the first submit, so never ask for more than lines
     jobs = min(max(1, args.jobs), len(lines))
-    if jobs <= 1:
-        results = [run_line(ln) for ln in lines]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_line, lines))
     with open(args.json, "w") if args.json else contextlib.nullcontext(sys.stdout) as out:
+        if jobs <= 1:
+            results = [run_line(ln) for ln in lines]
+        else:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                results = list(pool.map(run_line, lines))
         for payload, _ in results:
             out.write(json.dumps(payload) + "\n")
     return EXIT_INTERNAL if any(internal for _, internal in results) else EXIT_OK

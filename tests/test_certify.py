@@ -9,8 +9,8 @@ import pytest
 
 from bordercert import ArgumentError, Signature, __version__, certify, report_to_json_dict
 from bordercert.borderbasis import BorderSystem
-from bordercert.certify import SYMBOLIC_BUDGET, inspect_signature
-from bordercert.coeffring import CoeffPoly
+from bordercert.certify import inspect_signature
+from bordercert.coeffring import DEFAULT_PRIME, CoeffPoly
 from bordercert.modification import build_generic_modification
 
 EXPECTED_KEYS = [
@@ -75,13 +75,6 @@ def test_tangent_mismatch_is_not_certified():
     assert report.trials[0]["tangentDim"] == 142
 
 
-def test_budget_forces_specialized_mode():
-    report = certify(Signature(5, 2, 3, 3, 1), trials=1, budget=1)
-    assert report.verificationMode == "specialized"
-    assert report.verdict == "ELEMENTARY_CERTIFIED"
-    assert report.powers == [3, 3, 4, 4, 4]
-
-
 def test_report_json_schema():
     report = certify(Signature(5, 2, 3, 3, 1), trials=1)
     payload = report_to_json_dict(report)
@@ -107,6 +100,8 @@ def test_certify_argument_errors():
         certify(Signature(5, 2, 3, 3, 1), field_kind="float")
     with pytest.raises(ArgumentError):
         certify(Signature(5, 2, 3, 3, 1), field_kind="prime", prime=2**31 + 1)
+    with pytest.raises(ArgumentError):
+        certify(Signature(5, 2, 3, 3, 1), field_kind="exact", prime=DEFAULT_PRIME)
 
 
 def test_inspect_running_example():
@@ -133,12 +128,7 @@ def test_inspect_worked_example_target_sets():
     assert info["signature"] == [3, 4, 6, 2, 1]
 
 
-if __name__ == "__main__":
-    raise SystemExit(pytest.main([__file__, "-v"]))
-
-
-@pytest.mark.parametrize("budget", [SYMBOLIC_BUDGET, 0])
-def test_failed_check_is_inconclusive_in_both_modes(monkeypatch, budget):
+def test_failed_check_is_inconclusive(monkeypatch):
     def perturbed(oid, registry):
         system = build_generic_modification(oid, registry)
         tails = [dict(t) for t in system.tails]
@@ -148,13 +138,40 @@ def test_failed_check_is_inconclusive_in_both_modes(monkeypatch, budget):
     # `bordercert.certify` is also the re-exported function; patch the module.
     module = importlib.import_module("bordercert.certify")
     monkeypatch.setattr(module, "build_generic_modification", perturbed)
-    report = certify(Signature(5, 2, 3, 3, 1), trials=2, budget=budget)
+    report = certify(Signature(5, 2, 3, 3, 1), trials=2)
     assert report.verdict == "INCONCLUSIVE"
-    assert report.verificationMode == ("symbolic" if budget else "specialized")
+    assert report.verificationMode == "symbolic"
     assert report.powers is None
     assert [t["tangentDim"] for t in report.trials] == [None, None]
     assert [t["seed"] for t in report.trials] == [1, 2]
-    prefix = "symbolic border-basis check failed" if budget else "border-basis check failed at seed 1"
     assert report.evidence[0].startswith(
-        prefix + ": pair NeighborPair(j1=1, j2=2, alpha=2, beta=1) leaves residue "
+        "symbolic border-basis check failed: "
+        "pair NeighborPair(j1=1, j2=2, alpha=2, beta=1) leaves residue "
     )
+
+
+def test_one_symbolic_check_and_one_check_per_trial_point(monkeypatch):
+    calls = []
+
+    def counted(module):
+        real = module.is_border_basis
+
+        def is_border_basis(system):
+            calls.append((module.__name__, system.ring.kind))
+            return real(system)
+
+        monkeypatch.setattr(module, "is_border_basis", is_border_basis)
+
+    counted(importlib.import_module("bordercert.certify"))
+    counted(importlib.import_module("bordercert.tangent"))
+    report = certify(Signature(5, 2, 3, 3, 1), trials=2)
+    assert report.verdict == "ELEMENTARY_CERTIFIED"
+    assert calls == [
+        ("bordercert.certify", "poly"),
+        ("bordercert.tangent", "rational"),
+        ("bordercert.tangent", "rational"),
+    ]
+
+
+if __name__ == "__main__":
+    raise SystemExit(pytest.main([__file__, "-v"]))

@@ -33,10 +33,9 @@ def test_signature_and_shape_are_exclusive_and_required(capsys):
 
 def test_bad_field_and_trials_are_argument_errors(capsys, tmp_path):
     assert run(["certify", "--signature", "5,2,3,3,1", "--field", "float"], capsys)[0] == 2
-    for command in ("certify", "verify"):
-        code, _, err = run([command, "--signature", "5,2,3,3,1", "--trials", "0"], capsys)
-        assert code == 2
-        assert "trials must be at least 1" in err
+    code, _, err = run(["certify", "--signature", "5,2,3,3,1", "--trials", "0"], capsys)
+    assert code == 2
+    assert "trials must be at least 1" in err
     batch_file = tmp_path / "sigs.txt"
     batch_file.write_text("5,2,3,3,1\n")
     code, out, _ = run(["batch", str(batch_file), "--trials", "0"], capsys)
@@ -103,16 +102,10 @@ def test_verify_symbolic_ok(capsys):
     assert "symbolic border-basis check: ok" in out
 
 
-def test_verify_specialized_checks_each_seed(capsys):
-    code, out, _ = run(
-        ["verify", "--signature", "5,2,3,3,1", "--budget", "0", "--trials", "2"], capsys
-    )
-    assert code == 0
-    assert out == "seed 1 border-basis check: ok\nseed 2 border-basis check: ok\n"
-
-
 def test_verify_takes_no_field_flags(capsys):
     assert run(["verify", "--signature", "5,2,3,3,1", "--field", "prime"], capsys)[0] == 2
+    for flag in ("--seed", "--trials", "--budget"):
+        assert run(["verify", "--signature", "5,2,3,3,1", flag, "2"], capsys)[0] == 2
 
 
 def test_tangent_single_specialization(capsys):
@@ -197,30 +190,19 @@ def test_version_flag(capsys):
     assert run(["--version"], capsys)[0] == 0
 
 
-def test_prime_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("BORDERCERT_PRIME", "2147483659")
-    code, out, _ = run(
-        ["tangent", "--signature", "5,2,3,3,1", "--field", "prime"], capsys
-    )
-    assert code == 0
-    assert "tangentDim 59" in out
-    monkeypatch.setenv("BORDERCERT_PRIME", "not-a-number")
-    assert run(["tangent", "--signature", "5,2,3,3,1", "--field", "prime"], capsys)[0] == 2
-    monkeypatch.setenv("BORDERCERT_PRIME", "2147483648")
-    assert run(["tangent", "--signature", "5,2,3,3,1", "--field", "prime"], capsys)[0] == 2
-
-
-def test_prime_flag_needs_field_prime(capsys):
+def test_prime_flag_needs_field_prime(capsys, tmp_path):
     code, _, err = run(["tangent", "--signature", "5,2,3,3,0", "--prime", "7"], capsys)
     assert code == 2
     assert "--prime" in err and "--field prime" in err
-
-
-def test_prime_env_ignored_under_exact_field(capsys, monkeypatch):
-    monkeypatch.setenv("BORDERCERT_PRIME", "not-a-number")
-    code, out, _ = run(["tangent", "--signature", "5,2,3,3,1"], capsys)
-    assert code == 0
-    assert "tangentDim 59" in out
+    report = tmp_path / "report.json"
+    code = run(["certify", "--signature", "5,2,3,3,1", "--prime", "7", "--json", str(report)], capsys)[0]
+    assert code == 2
+    assert not report.exists()
+    batch_file = tmp_path / "sigs.txt"
+    batch_file.write_text("5,2,3,3,1\n")
+    for flags in (["--prime", "7"], ["--field", "prime", "--prime", "7"]):
+        code, out, _ = run(["batch", str(batch_file), *flags], capsys)
+        assert (code, out) == (2, "")
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +287,17 @@ def test_batch_workers_capped_at_line_count(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert pools == [2]
     assert len(out.splitlines()) == 2
+
+
+def test_unwritable_json_fails_before_any_certification(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "certify", lambda sig, **settings: calls.append(sig))
+    batch_file = tmp_path / "sigs.txt"
+    batch_file.write_text("3,2,3,2,1\n5,2,3,3,1\n")
+    bad = "/no/such/dir/out.json"
+    assert run(["batch", str(batch_file), "--jobs", "1", "--json", bad], capsys)[0] == 2
+    assert run(["certify", "--signature", "5,2,3,3,1", "--json", bad], capsys)[0] == 2
+    assert calls == []
 
 
 def test_batch_exits_4_on_an_internal_error(capsys, tmp_path, monkeypatch):
