@@ -5,8 +5,9 @@ g_j = b_j - sum_i Y_ij t_i, so b_j may be replaced by its *tail*
 sum_i Y_ij t_i.  The coefficients Y_ij live in any commutative ring R that
 supports +, -, * and truthiness as zero test: sparse integer polynomials in
 the named coefficients, or integers once those are specialized at an integer
-point.  Specialized systems are the same in both fields; the modulus of prime
-mode is an argument of the tangent rank, not a property of the system.
+point.  Specialized systems are the same in both fields; prime mode reduces
+modulo `linalg.PRIME` only inside the tangent rank, so the modulus is not a
+property of the system.
 
 `reduce` rewrites an arbitrary element to one supported on basis monomials.
 A basis monomial stays and a border monomial becomes its tail.  Any other

@@ -19,7 +19,8 @@ from .borderbasis import (
     power_in_ideal,
     specialize_system,
 )
-from .coeffring import DEFAULT_PRIME, IndeterminateRegistry, validated_prime
+from .coeffring import IndeterminateRegistry
+from .linalg import check_field
 from .modification import build_generic_modification
 from .monomial import ArgumentError
 from .orderideal import Signature, build, translation_frame
@@ -81,28 +82,16 @@ def generic_system(sig: Signature):
     return oid, registry, build_generic_modification(oid, registry)
 
 
-def rank_modulus(field_kind: str, prime: Optional[int] = None) -> int:
-    """The `prime` argument of the tangent rank: 0 for exact, else the modulus."""
-    if field_kind not in ("exact", "prime"):
-        raise ArgumentError(f"unknown field {field_kind!r} (use 'exact' or 'prime')")
-    if field_kind == "exact":
-        if prime is not None:
-            raise ArgumentError("a modulus (--prime) needs field 'prime' (--field prime)")
-        return 0
-    return DEFAULT_PRIME if prime is None else validated_prime(prime)
-
-
 def certify(
     sig: Signature,
     trials: int = 3,
     field_kind: str = "exact",
     seed: int = 1,
-    prime: Optional[int] = None,
 ) -> CertificationReport:
     """Run the whole pipeline for one signature."""
     if trials < 1:
         raise ArgumentError("at least one trial is required")
-    modulus = rank_modulus(field_kind, prime)
+    check_field(field_kind)
     timings: Dict[str, float] = {}
     evidence: List[str] = []
 
@@ -139,7 +128,7 @@ def certify(
             tp = time.perf_counter()
             powers = [power_in_ideal(specialized, var) for var in range(1, sig.n + 1)]
             timings["powers"] = time.perf_counter() - tp
-        row["tangentDim"] = tangent_dimension(specialized, modulus)
+        row["tangentDim"] = tangent_dimension(specialized, field_kind)
     timings["tangent"] = time.perf_counter() - t0
 
     dims = sorted({t["tangentDim"] for t in trial_rows if t["tangentDim"] is not None})

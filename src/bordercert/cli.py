@@ -23,9 +23,9 @@ from .certify import (
     certify,
     generic_system,
     inspect_signature,
-    rank_modulus,
     report_to_json_dict,
 )
+from .linalg import FIELDS
 from .modification import build_targets, render_targets
 from .monomial import ArgumentError, InternalInvariantError
 from .orderideal import Signature, build, shape_to_signature
@@ -73,8 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trials = flags(parents=[seed])
     trials.add_argument("--trials", type=_trial_count, default=3)
     field = flags()
-    field.add_argument("--field", choices=("exact", "prime"), default="exact")
-    field.add_argument("--prime", type=int, default=None, help="modulus for --field prime")
+    field.add_argument("--field", choices=FIELDS, default="exact")
     report = flags(parents=[trials, field])
     report.add_argument("--no-timings", action="store_true", help="omit timings from output")
 
@@ -89,12 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="PATH", help="write the summary as JSON")
     p.add_argument("-v", "--verbose", action="count", default=0)
 
-    p = sub.add_parser("modify", parents=[located], help="emit the target-assignment dump")
-    p.add_argument(
-        "--dump-targets",
-        metavar="PATH",
-        help="also write the dump to a file (stdout either way)",
-    )
+    sub.add_parser("modify", parents=[located], help="emit the target-assignment dump")
 
     sub.add_parser(
         "verify", parents=[located], help="symbolic border-basis check of the modified system"
@@ -137,11 +131,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 def _cmd_modify(args: argparse.Namespace) -> int:
     oid = build(_signature(args))
-    text = render_targets(oid, build_targets(oid)) + "\n"
-    sys.stdout.write(text)
-    if args.dump_targets:
-        with open(args.dump_targets, "w") as f:
-            f.write(text)
+    print(render_targets(oid, build_targets(oid)))
     return EXIT_OK
 
 
@@ -155,10 +145,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_tangent(args: argparse.Namespace) -> int:
-    modulus = rank_modulus(args.field, args.prime)
     oid, registry, system = generic_system(_signature(args))
     spec = specialize_system(system, random_assignment(registry, args.seed))
-    tangent = tangent_dimension(spec, modulus)
+    tangent = tangent_dimension(spec, args.field)
     print(f"tangentDim {tangent}")
     print(f"dimU       {dim_U(oid)}")
     print(f"field      {args.field}")
@@ -168,11 +157,8 @@ def _cmd_tangent(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     sig = _signature(args)
-    rank_modulus(args.field, args.prime)  # argument errors before the report file is opened
     with open(args.json, "w") if args.json else contextlib.nullcontext() as out:
-        report = certify(
-            sig, trials=args.trials, field_kind=args.field, seed=args.seed, prime=args.prime
-        )
+        report = certify(sig, trials=args.trials, field_kind=args.field, seed=args.seed)
         if out:
             payload = report_to_json_dict(report, include_timings=not args.no_timings)
             json.dump(payload, out, indent=2)
@@ -200,14 +186,12 @@ def _batch_entry(line: str, include_timings: bool, **settings) -> Tuple[dict, bo
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    rank_modulus(args.field, args.prime)  # a bad field or prime fails the whole batch
     run_line = functools.partial(
         _batch_entry,
         include_timings=not args.no_timings,
         trials=args.trials,
         field_kind=args.field,
         seed=args.seed,
-        prime=args.prime,
     )
     with open(args.input) as f:
         lines = [ln.strip() for ln in f]

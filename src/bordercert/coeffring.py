@@ -8,8 +8,8 @@ Two kinds of scalars appear downstream:
   target term,
 * plain integers: the values of those polynomials at an integer point.  The
   construction only adds, multiplies and shifts, so integers suffice
-  everywhere; prime mode reduces them modulo a large configured prime only
-  when it computes a rank.
+  everywhere; prime mode reduces them modulo the fixed prime of `linalg`
+  only when it computes a rank.
 
 No floating point appears anywhere.
 """
@@ -20,33 +20,6 @@ from numbers import Rational
 from typing import Dict, Mapping, Tuple
 
 from .monomial import ArgumentError
-
-DEFAULT_PRIME = 2**61 - 1
-MIN_PRIME = 2**31
-
-
-def _is_probable_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin for the word-sized moduli we accept."""
-    if m < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if m % p == 0:
-            return m == p
-    d, r = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
 
 
 class IndeterminateRegistry:
@@ -298,12 +271,3 @@ def _integer_assignment(registry: IndeterminateRegistry, assignment: Mapping) ->
         names = ", ".join(registry.name_of(i) for i in sorted(missing)[:5])
         raise ArgumentError(f"assignment misses {len(missing)} indeterminates ({names}, ...)")
     return values
-
-
-def validated_prime(p: int) -> int:
-    """Check a user-supplied modulus: prime and larger than 2^31."""
-    if p <= MIN_PRIME:
-        raise ArgumentError(f"prime must exceed 2^31, got {p}")
-    if not _is_probable_prime(p):
-        raise ArgumentError(f"{p} is not prime")
-    return p

@@ -3,12 +3,12 @@
 Rows are sparse mappings column -> integer; zero entries are ignored.  The
 rank over the rationals goes through a fraction-free elimination (combine
 rows by cross-multiplication and strip common factors), so no rounding can
-occur anywhere.  Prime mode reduces the entries modulo the prime and uses
-ordinary elimination, each pivot kept unscaled beside the inverse of its
-lead; that is the only place where prime mode differs from exact mode.  Both
-kernels take rows shortest first and pivot columns sparsest first, which
-limits fill-in.  Rank is invariant under transposition, so a caller may pass
-the columns of a tall matrix as rows.
+occur anywhere.  Prime mode reduces the entries modulo the fixed prime
+`PRIME` and uses ordinary elimination, each pivot kept unscaled beside the
+inverse of its lead; that is the only place where prime mode differs from
+exact mode.  Both kernels take rows shortest first and pivot columns sparsest
+first, which limits fill-in.  Rank is invariant under transposition, so a
+caller may pass the columns of a tall matrix as rows.
 """
 
 from __future__ import annotations
@@ -17,9 +17,17 @@ from collections import Counter
 from math import gcd
 from typing import Dict, Iterable, List, Tuple
 
-from .coeffring import validated_prime
+from .monomial import ArgumentError
 
 SparseRow = Dict[int, int]
+
+PRIME = 2**61 - 1
+FIELDS = ("exact", "prime")
+
+
+def check_field(field: str) -> None:
+    if field not in FIELDS:
+        raise ArgumentError(f"unknown field {field!r} (use 'exact' or 'prime')")
 
 
 def _strip_content(row: SparseRow) -> SparseRow:
@@ -127,9 +135,8 @@ def dedupe_rows(rows: Iterable[SparseRow]) -> List[SparseRow]:
     return out
 
 
-def rank_of(rows: Iterable[SparseRow], prime: int = 0) -> int:
-    """Deduplicate then rank, over Q (prime=0) or over F_prime for a prime above 2^31."""
-    if prime:
-        validated_prime(prime)
+def rank_of(rows: Iterable[SparseRow], field: str = "exact") -> int:
+    """Deduplicate then rank, over Q or over the field with `PRIME` elements."""
+    check_field(field)
     deduped = dedupe_rows(rows)
-    return modp_rank(deduped, prime) if prime else exact_rank(deduped)
+    return modp_rank(deduped, PRIME) if field == "prime" else exact_rank(deduped)

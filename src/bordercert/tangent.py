@@ -26,8 +26,7 @@ each variable, already reduced to a vector on basis indices.  A translation
 tuple multiplies that vector by the shift one variable at a time, each step
 read from the product table; at a border basis the multiplication maps
 commute, so this is the normal form of the partial times the shift.  Prime
-mode differs only in that the tangent rank is computed modulo the prime
-passed to `tangent_dimension`.
+mode differs only in that the tangent rank is computed modulo `linalg.PRIME`.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ from .borderbasis import (
     reduce,
     specialize_system,
 )
-from .coeffring import IndeterminateRegistry, _integer_assignment, validated_prime
-from .linalg import rank_of
+from .coeffring import IndeterminateRegistry, _integer_assignment
+from .linalg import check_field, rank_of
 from .monomial import ArgumentError, InternalInvariantError
 from .orderideal import OrderIdealData, TranslationFrame, translation_frame
 
@@ -134,11 +133,10 @@ def _require_border_basis(spec: BorderSystem) -> None:
         raise ArgumentError(f"not a border basis: pair {pair} leaves residue {residue}")
 
 
-def tangent_dimension(sys: BorderSystem, prime: int = 0) -> int:
+def tangent_dimension(sys: BorderSystem, field: str = "exact") -> int:
     """dim of first-order deformations of the border basis at `sys`, with the
-    rank taken over Q (prime=0) or over F_prime."""
-    if prime:
-        validated_prime(prime)
+    rank taken over Q (field "exact") or modulo `linalg.PRIME` ("prime")."""
+    check_field(field)
     if sys.ring.kind != "rational":
         raise ArgumentError("tangent dimension needs a specialized system")
     _require_border_basis(sys)
@@ -146,7 +144,7 @@ def tangent_dimension(sys: BorderSystem, prime: int = 0) -> int:
     # A matrix and its transpose have the same rank; the system is tall, so
     # eliminating its columns leaves far fewer vectors to reduce to zero.
     cols = [vec for vec in _tangent_columns(sys) if vec]
-    dim = oid.mu * oid.nu - rank_of(cols, prime)
+    dim = oid.mu * oid.nu - rank_of(cols, field)
     if dim < dim_U(oid):
         raise InternalInvariantError(
             f"tangent dimension {dim} fell below the family dimension {dim_U(oid)}"

@@ -23,7 +23,7 @@ from bordercert.borderbasis import (
     specialize_system,
 )
 from bordercert.certify import certify, report_to_json_dict
-from bordercert.coeffring import DEFAULT_PRIME, CoeffPoly, IndeterminateRegistry
+from bordercert.coeffring import CoeffPoly, IndeterminateRegistry
 from bordercert.modification import build_generic_modification, build_targets, render_targets
 from bordercert.monomial import Monomial, SegmentSpec, monomials_of, segment
 from bordercert.orderideal import Signature, build, gamma_formula, translation_frame
@@ -173,7 +173,7 @@ def test_criterion_7_large_signature_prime_mode():
         sig = Signature(5, 3, 4, 3, 1)
         oid, _, spec = _modified_specialized(sig, seed=1)
         assert dim_U(oid) == 268
-        assert tangent_dimension(spec, prime=DEFAULT_PRIME) == 268
+        assert tangent_dimension(spec, field="prime") == 268
 
 
 def _deep_pool_three_ways(sig):

@@ -10,7 +10,8 @@ import pytest
 from bordercert import ArgumentError, Signature, __version__, certify, report_to_json_dict
 from bordercert.borderbasis import BorderSystem
 from bordercert.certify import inspect_signature
-from bordercert.coeffring import DEFAULT_PRIME, CoeffPoly
+from bordercert.coeffring import CoeffPoly
+from bordercert.linalg import PRIME
 from bordercert.modification import build_generic_modification
 
 EXPECTED_KEYS = [
@@ -93,15 +94,16 @@ def test_report_json_deterministic():
     assert json.dumps(a) == json.dumps(b)
 
 
-def test_certify_argument_errors():
+def test_certify_argument_errors(monkeypatch):
+    def never(sig):
+        raise AssertionError("the system was built before the arguments were checked")
+
+    # `bordercert.certify` is also the re-exported function; patch the module.
+    monkeypatch.setattr(importlib.import_module("bordercert.certify"), "generic_system", never)
     with pytest.raises(ArgumentError):
         certify(Signature(5, 2, 3, 3, 1), trials=0)
     with pytest.raises(ArgumentError):
         certify(Signature(5, 2, 3, 3, 1), field_kind="float")
-    with pytest.raises(ArgumentError):
-        certify(Signature(5, 2, 3, 3, 1), field_kind="prime", prime=2**31 + 1)
-    with pytest.raises(ArgumentError):
-        certify(Signature(5, 2, 3, 3, 1), field_kind="exact", prime=DEFAULT_PRIME)
 
 
 def test_inspect_running_example():
@@ -171,6 +173,25 @@ def test_one_symbolic_check_and_one_check_per_trial_point(monkeypatch):
         ("bordercert.tangent", "rational"),
         ("bordercert.tangent", "rational"),
     ]
+
+
+def test_prime_mode_ranks_modulo_the_fixed_prime(monkeypatch):
+    linalg = importlib.import_module("bordercert.linalg")
+    moduli = []
+    real = linalg.modp_rank
+
+    def recorded(rows, prime):
+        moduli.append(prime)
+        return real(rows, prime)
+
+    def never(rows):
+        raise AssertionError("prime mode took an exact rank")
+
+    monkeypatch.setattr(linalg, "modp_rank", recorded)
+    monkeypatch.setattr(linalg, "exact_rank", never)
+    report = certify(Signature(5, 2, 3, 3, 1), trials=1, field_kind="prime")
+    assert [t["tangentDim"] for t in report.trials] == [59]
+    assert moduli and set(moduli) == {PRIME}
 
 
 if __name__ == "__main__":

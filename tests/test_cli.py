@@ -58,15 +58,10 @@ def test_parser_defaults():
 # modify
 
 
-def test_modify_matches_golden(capsys, tmp_path):
-    dump = tmp_path / "dump.txt"
-    code, out, _ = run(
-        ["modify", "--signature", "3,4,6,2,1", "--dump-targets", str(dump)], capsys
-    )
-    golden = (GOLDEN / "modify_3_4_6_2_1.txt").read_text()
+def test_modify_matches_golden(capsys):
+    code, out, _ = run(["modify", "--signature", "3,4,6,2,1"], capsys)
     assert code == 0
-    assert out == golden
-    assert dump.read_text() == golden
+    assert out == (GOLDEN / "modify_3_4_6_2_1.txt").read_text()
 
 
 def test_modify_second_golden(capsys):
@@ -190,19 +185,18 @@ def test_version_flag(capsys):
     assert run(["--version"], capsys)[0] == 0
 
 
-def test_prime_flag_needs_field_prime(capsys, tmp_path):
-    code, _, err = run(["tangent", "--signature", "5,2,3,3,0", "--prime", "7"], capsys)
-    assert code == 2
-    assert "--prime" in err and "--field prime" in err
+def test_prime_flag_is_rejected(capsys, tmp_path):
+    # the modulus is fixed; even the default prime cannot be passed
+    flags = ["--field", "prime", "--prime", "2305843009213693951"]
+    assert run(["tangent", "--signature", "5,2,3,3,0", *flags], capsys)[0] == 2
     report = tmp_path / "report.json"
-    code = run(["certify", "--signature", "5,2,3,3,1", "--prime", "7", "--json", str(report)], capsys)[0]
+    code = run(["certify", "--signature", "5,2,3,3,1", *flags, "--json", str(report)], capsys)[0]
     assert code == 2
     assert not report.exists()
     batch_file = tmp_path / "sigs.txt"
     batch_file.write_text("5,2,3,3,1\n")
-    for flags in (["--prime", "7"], ["--field", "prime", "--prime", "7"]):
-        code, out, _ = run(["batch", str(batch_file), *flags], capsys)
-        assert (code, out) == (2, "")
+    code, out, _ = run(["batch", str(batch_file), *flags], capsys)
+    assert (code, out) == (2, "")
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bordercert.coeffring import (
-    DEFAULT_PRIME,
     CoeffPoly,
     IndeterminateRegistry,
     _integer_assignment,
-    validated_prime,
 )
 from bordercert.monomial import ArgumentError
 from bordercert.orderideal import Signature, build
@@ -178,17 +176,6 @@ def test_gradient_obeys_sum_and_product_rules(registry, data):
     x = CoeffPoly.indeterminate(registry, ind)
     assert (x * x * x).gradient(values) == ({ind: 3 * values[ind] ** 2} if values[ind] else {})
     assert CoeffPoly.constant(registry, 7).gradient(values) == {}
-
-
-def test_validated_prime():
-    assert validated_prime(DEFAULT_PRIME) == DEFAULT_PRIME
-    assert validated_prime(2147483659) == 2147483659
-    with pytest.raises(ArgumentError):
-        validated_prime(97)  # too small
-    with pytest.raises(ArgumentError):
-        validated_prime(2**31)  # not prime and not above the floor
-    with pytest.raises(ArgumentError):
-        validated_prime(2**31 + 1)  # 3 * 715827883
 
 
 def test_registry_identity_guard():

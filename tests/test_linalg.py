@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bordercert.coeffring import DEFAULT_PRIME
-from bordercert.linalg import _by_column_count, dedupe_rows, exact_rank, modp_rank, rank_of
+from bordercert.linalg import PRIME, _by_column_count, dedupe_rows, exact_rank, modp_rank, rank_of
 from bordercert.monomial import ArgumentError
 
 from helpers import fraction_rank
@@ -57,7 +56,7 @@ def test_modp_rank_matches_exact_on_small_entries(matrix):
     # entries and dimensions are small enough that no nonzero minor can be
     # divisible by the (much larger) default prime
     sparse = _dense_to_sparse(matrix)
-    assert modp_rank(sparse, DEFAULT_PRIME) == exact_rank(sparse)
+    assert modp_rank(sparse, PRIME) == exact_rank(sparse)
 
 
 @settings(max_examples=60, deadline=None)
@@ -66,7 +65,7 @@ def test_both_kernels_match_dense_oracle_on_sparse_matrices(matrix):
     sparse = _dense_to_sparse(matrix)
     expected = fraction_rank(matrix)
     assert exact_rank(sparse) == expected
-    assert modp_rank(sparse, DEFAULT_PRIME) == expected
+    assert modp_rank(sparse, PRIME) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -76,7 +75,7 @@ def test_rank_invariant_under_column_relabelling(matrix, rng):
     labels = rng.sample(range(1000), len(matrix[0]))
     relabelled = [{labels[j]: v for j, v in row.items()} for row in sparse]
     assert exact_rank(relabelled) == exact_rank(sparse)
-    assert modp_rank(relabelled, DEFAULT_PRIME) == modp_rank(sparse, DEFAULT_PRIME)
+    assert modp_rank(relabelled, PRIME) == modp_rank(sparse, PRIME)
 
 
 @settings(max_examples=40, deadline=None)
@@ -85,9 +84,9 @@ def test_rank_invariant_under_transposition(matrix):
     sparse = _dense_to_sparse(matrix)
     transposed = _dense_to_sparse(zip(*matrix))
     assert exact_rank(transposed) == exact_rank(sparse)
-    assert modp_rank(transposed, DEFAULT_PRIME) == modp_rank(sparse, DEFAULT_PRIME)
+    assert modp_rank(transposed, PRIME) == modp_rank(sparse, PRIME)
     assert rank_of(transposed) == rank_of(sparse)
-    assert rank_of(transposed, DEFAULT_PRIME) == rank_of(sparse, DEFAULT_PRIME)
+    assert rank_of(transposed, "prime") == rank_of(sparse, "prime")
 
 
 def test_column_order_is_sparsest_first_ties_by_index():
@@ -123,7 +122,7 @@ def test_rank_edge_cases():
     assert exact_rank([{}, {}]) == 0
     identity = [{i: 1} for i in range(5)]
     assert exact_rank(identity) == 5
-    assert modp_rank([{i: 1} for i in range(5)], DEFAULT_PRIME) == 5
+    assert modp_rank([{i: 1} for i in range(5)], PRIME) == 5
     # one row repeated many times
     row = {0: 14, 3: -5}
     assert exact_rank([dict(row) for _ in range(4)]) == 1
@@ -133,7 +132,7 @@ def test_rank_edge_cases():
 
 
 def test_modp_rank_with_field_scalars():
-    p = DEFAULT_PRIME
+    p = PRIME
     rows = [
         {0: pow(2, -1, p), 1: 3},
         {0: 2, 1: 12},
@@ -144,7 +143,7 @@ def test_modp_rank_with_field_scalars():
 
 
 def test_modp_pivot_with_lead_other_than_one():
-    p = DEFAULT_PRIME
+    p = PRIME
     c = 5 * pow(3, -1, p) % p
     # the first row is the pivot on column 0 with lead 3; the second is its
     # multiple by 1/3 mod p and must reduce to zero through that inverse
@@ -170,7 +169,7 @@ def test_dedupe_rows_collapses_scalar_multiples():
     assert len(deduped) == 2
     assert exact_rank(deduped) == exact_rank(rows) == 2
     # a rational multiple is a multiple mod p too, so one key serves both ranks
-    assert rank_of(rows, DEFAULT_PRIME) == modp_rank(rows, DEFAULT_PRIME) == 2
+    assert rank_of(rows, "prime") == modp_rank(rows, PRIME) == 2
 
 
 @settings(max_examples=30, deadline=None)
@@ -180,10 +179,10 @@ def test_rank_of_agrees_with_exact_rank(matrix):
     assert rank_of(sparse) == exact_rank(sparse)
 
 
-def test_rank_of_rejects_unusable_modulus():
-    for modulus in (1, 4, 97, -3):
+def test_rank_of_rejects_unknown_field():
+    for field in ("float", "Prime", "", PRIME):
         with pytest.raises(ArgumentError):
-            rank_of([{0: 1}], modulus)
+            rank_of([{0: 1}], field)
 
 
 def test_rank_drops_with_dependent_row():

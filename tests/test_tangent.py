@@ -13,7 +13,7 @@ from bordercert.borderbasis import (
     reduce,
     specialize_system,
 )
-from bordercert.coeffring import DEFAULT_PRIME, CoeffPoly, IndeterminateRegistry
+from bordercert.coeffring import CoeffPoly, IndeterminateRegistry
 from bordercert.linalg import rank_of
 from bordercert.modification import build_generic_modification
 from bordercert.monomial import ArgumentError
@@ -82,16 +82,16 @@ def test_tangent_dimension_86_at_two_seeds():
 
 def test_tangent_dimension_186_mod_p():
     oid, spec = _modified_specialized(Signature(6, 2, 4, 4, 0), seed=1)
-    assert tangent_dimension(spec, prime=DEFAULT_PRIME) == 186 == dim_U(oid)
+    assert tangent_dimension(spec, field="prime") == 186 == dim_U(oid)
 
 
 def test_tangent_equations_are_ranked_by_column(monkeypatch):
     oid, spec = _modified_specialized(Signature(5, 2, 3, 3, 1))
     seen = []
 
-    def capture(rows, prime=0):
+    def capture(rows, field="exact"):
         seen.extend(rows)
-        return rank_of(rows, prime)
+        return rank_of(rows, field)
 
     monkeypatch.setattr("bordercert.tangent.rank_of", capture)
     assert tangent_dimension(spec) == 59
@@ -105,7 +105,7 @@ def test_tangent_equations_are_ranked_by_column(monkeypatch):
 
 def test_prime_field_agrees_with_exact():
     _, spec = _modified_specialized(Signature(5, 2, 3, 3, 1), seed=3)
-    assert tangent_dimension(spec) == tangent_dimension(spec, prime=DEFAULT_PRIME) == 59
+    assert tangent_dimension(spec) == tangent_dimension(spec, field="prime") == 59
 
 
 def test_monomial_ideal_matches_hom_oracle():
@@ -133,21 +133,15 @@ def test_tangent_dimension_rejects_generic_ring():
         tangent_dimension(system)
 
 
-def test_tangent_dimension_rejects_unusable_prime():
-    _, spec = _modified_specialized(Signature(5, 2, 3, 3, 1))
-    with pytest.raises(ArgumentError):
-        tangent_dimension(spec, prime=4)
-
-
-def test_tangent_dimension_checks_prime_before_the_work(monkeypatch):
+def test_tangent_dimension_checks_field_before_the_work(monkeypatch):
     _, spec = _modified_specialized(Signature(5, 2, 3, 3, 0))
 
     def never(system):
-        raise AssertionError("the border-basis check ran before the modulus was checked")
+        raise AssertionError("the border-basis check ran before the field was checked")
 
     monkeypatch.setattr("bordercert.tangent.is_border_basis", never)
     with pytest.raises(ArgumentError):
-        tangent_dimension(spec, prime=4)
+        tangent_dimension(spec, field="float")
 
 
 def test_tangent_dimension_rejects_non_border_basis():
