@@ -49,7 +49,10 @@ def _parse_ints(text: str, count: int, what: str) -> List[int]:
 
 
 def _trial_count(text: str) -> int:
-    trials = int(text)
+    try:
+        trials = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"trials must be an integer, got {text!r}")
     if trials < 1:
         raise argparse.ArgumentTypeError("trials must be at least 1")
     return trials

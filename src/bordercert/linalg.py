@@ -6,14 +6,21 @@ rows by cross-multiplication and strip common factors), so no rounding can
 occur anywhere.  Prime mode reduces the entries modulo the fixed prime
 `PRIME` and uses ordinary elimination, each pivot kept unscaled beside the
 inverse of its lead; that is the only place where prime mode differs from
-exact mode.  Both kernels take rows shortest first and pivot columns sparsest
-first, which limits fill-in.  Rank is invariant under transposition, so a
-caller may pass the columns of a tall matrix as rows.
+exact mode.  `PRIME` is below 2^30, so every residue is a one-digit CPython
+int.  Both kernels take rows shortest first and pivot columns sparsest
+first, which limits fill-in.  Each kernel reduces a working row in place,
+a fresh dict built from the input row, so the caller's rows are never
+touched.  The row's lead comes from a heap of its columns: a column that
+cancels stays in the heap and is skipped when popped, and only fill-in
+columns are pushed.  A row that becomes a pivot is stored as a compact copy.
+Rank is invariant under transposition, so a caller may pass the columns of
+a tall matrix as rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Dict, Iterable, List, Tuple
 
@@ -21,7 +28,7 @@ from .monomial import ArgumentError
 
 SparseRow = Dict[int, int]
 
-PRIME = 2**61 - 1
+PRIME = 1073741789  # the largest prime below 2^30
 FIELDS = ("exact", "prime")
 
 
@@ -45,8 +52,8 @@ def _by_column_count(rows: List[SparseRow]) -> Dict[int, int]:
     """Map each column with a nonzero entry to its place, sparsest first.
 
     Columns are ordered by their count of nonzero entries, ties by index.
-    The rank kernels relabel columns through this map, so `min(row)` picks
-    the sparsest column of a row as its pivot.
+    The rank kernels relabel columns through this map, so the least column
+    of a row, its lead, is its sparsest.
     """
     counts = Counter(c for row in rows for c, v in row.items() if v)
     return {c: k for k, c in enumerate(sorted(counts, key=lambda c: (counts[c], c)))}
@@ -60,24 +67,35 @@ def exact_rank(rows: Iterable[SparseRow]) -> int:
     rank = 0
     for raw in rows:
         row = _strip_content({pos[c]: v for c, v in raw.items() if v})
-        while row:
-            lead = min(row)
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            lead = heappop(heap)
+            rl = row.get(lead)
+            if rl is None:  # cancelled since it was pushed
+                continue
             pivot = pivots.get(lead)
             if pivot is None:
-                pivots[lead] = row
+                pivots[lead] = dict(row)
                 rank += 1
                 break
-            pl, rl = pivot[lead], row[lead]
+            pl = pivot[lead]
             g = gcd(pl, rl)
             pl, rl = pl // g, rl // g
-            new = dict(row) if pl == 1 else {c: v * pl for c, v in row.items()}
+            if pl != 1:
+                row = {c: v * pl for c, v in row.items()}
             for c, v in pivot.items():
-                n = new.get(c, 0) - v * rl
-                if n:
-                    new[c] = n
+                n = row.get(c)
+                if n is None:
+                    row[c] = -v * rl
+                    heappush(heap, c)
                 else:
-                    new.pop(c, None)
-            row = _strip_content(new)
+                    n -= v * rl
+                    if n:
+                        row[c] = n
+                    else:
+                        del row[c]
+            row = _strip_content(row)
     return rank
 
 
@@ -96,38 +114,50 @@ def modp_rank(rows: Iterable[SparseRow], prime: int) -> int:
             n = v % prime
             if n:
                 row[pos[c]] = n
-        while row:
-            lead = min(row)
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            lead = heappop(heap)
+            rl = row.get(lead)
+            if rl is None:  # cancelled since it was pushed
+                continue
             found = pivots.get(lead)
             if found is None:
-                pivots[lead] = (row, pow(row[lead], -1, prime))
+                pivots[lead] = (dict(row), pow(rl, -1, prime))
                 rank += 1
                 break
             pivot, inv = found
-            rl = row[lead] * inv % prime
-            new = dict(row)
+            rl = rl * inv % prime
             for c, v in pivot.items():
-                n = (new.get(c, 0) - v * rl) % prime
-                if n:
-                    new[c] = n
+                n = row.get(c)
+                if n is None:
+                    row[c] = -v * rl % prime
+                    heappush(heap, c)
                 else:
-                    new.pop(c, None)
-            row = new
+                    n = (n - v * rl) % prime
+                    if n:
+                        row[c] = n
+                    else:
+                        del row[c]
     return rank
 
 
 def dedupe_rows(rows: Iterable[SparseRow]) -> List[SparseRow]:
     """Drop empty rows and rational multiples of an earlier row, keyed by the
     row with its content stripped and its first entry made positive.  A
-    multiple over Q is a multiple mod p too, so both rank kernels take these rows."""
+    multiple over Q is a multiple mod p too unless the earlier row vanishes
+    mod p, so rows whose content `PRIME` divides are keyed apart, and both
+    rank kernels take the rows kept."""
     seen = set()
     out: List[SparseRow] = []
     for row in rows:
         items = sorted((c, n) for c, n in _strip_content(row).items() if n)
         if not items:
             continue
-        sign = 1 if items[0][1] > 0 else -1
-        key = tuple((c, sign * n) for c, n in items)
+        c0, n0 = items[0]
+        sign = 1 if n0 > 0 else -1
+        vanishes = row[c0] // n0 % PRIME == 0
+        key = (vanishes, tuple((c, sign * n) for c, n in items))
         if key in seen:
             continue
         seen.add(key)

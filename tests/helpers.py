@@ -34,6 +34,25 @@ def fraction_rank(rows):
     return rank
 
 
+def dense_modp_rank(rows, prime):
+    """Rank over the field with `prime` elements of integer row vectors, by
+    plain dense Gaussian elimination; an oracle independent of `linalg`."""
+    rows = [[v % prime for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pick = next((k for k in range(rank, len(rows)) if rows[k][col]), None)
+        if pick is None:
+            continue
+        rows[rank], rows[pick] = rows[pick], rows[rank]
+        inv = pow(rows[rank][col], -1, prime)
+        for k in range(rank + 1, len(rows)):
+            factor = rows[k][col] * inv % prime
+            if factor:
+                rows[k] = [(a - factor * b) % prime for a, b in zip(rows[k], rows[rank])]
+        rank += 1
+    return rank
+
+
 def membership_rows(sys, mult_degree):
     """Coefficient rows of m * g_j over all monomials of bounded degree.
 

@@ -36,6 +36,10 @@ def test_bad_field_and_trials_are_argument_errors(capsys, tmp_path):
     code, _, err = run(["certify", "--signature", "5,2,3,3,1", "--trials", "0"], capsys)
     assert code == 2
     assert "trials must be at least 1" in err
+    code, _, err = run(["certify", "--signature", "5,2,3,3,1", "--trials", "abc"], capsys)
+    assert code == 2
+    assert "trials must be an integer, got 'abc'" in err
+    assert "_trial_count" not in err
     batch_file = tmp_path / "sigs.txt"
     batch_file.write_text("5,2,3,3,1\n")
     code, out, _ = run(["batch", str(batch_file), "--trials", "0"], capsys)

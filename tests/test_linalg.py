@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from bordercert.linalg import PRIME, _by_column_count, dedupe_rows, exact_rank, modp_rank, rank_of
 from bordercert.monomial import ArgumentError
 
-from helpers import fraction_rank
+from helpers import dense_modp_rank, fraction_rank
 
 
 def _dense_to_sparse(matrix):
@@ -44,6 +46,28 @@ sparse_matrix_strategy = st.integers(min_value=0, max_value=10_000).map(
 )
 
 
+def _lifted_low_rank_matrix(rng):
+    """Small combinations of a few rows, each entry shifted by a multiple of
+    `PRIME`: rows cancel mod p, mostly away from their lead, but not over Q."""
+    ncols, k = rng.randint(1, 8), rng.randint(1, 4)
+    basis = _random_matrix(rng, k, ncols, density=0.5, bound=3)
+    mixes = _random_matrix(rng, rng.randint(1, 8), k, density=0.7, bound=3)
+    return [
+        [sum(m * b[j] for m, b in zip(mix, basis)) + rng.randint(-2, 2) * PRIME for j in range(ncols)]
+        for mix in mixes
+    ]
+
+
+lifted_matrix_strategy = st.integers(min_value=0, max_value=10_000).map(
+    lambda seed: _lifted_low_rank_matrix(random.Random(seed))
+)
+
+
+def test_prime_is_a_prime_below_2_to_the_30():
+    assert 2 < PRIME < 2**30
+    assert all(PRIME % d for d in range(2, isqrt(PRIME) + 1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrix_strategy)
 def test_exact_rank_matches_dense_oracle(matrix):
@@ -66,6 +90,29 @@ def test_both_kernels_match_dense_oracle_on_sparse_matrices(matrix):
     expected = fraction_rank(matrix)
     assert exact_rank(sparse) == expected
     assert modp_rank(sparse, PRIME) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(lifted_matrix_strategy)
+def test_modp_rank_matches_dense_modp_oracle(matrix):
+    sparse = _dense_to_sparse(matrix)
+    expected = dense_modp_rank(matrix, PRIME)
+    assert modp_rank(sparse, PRIME) == expected
+    assert rank_of(sparse, "prime") == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(sparse_matrix_strategy, lifted_matrix_strategy))
+def test_rank_kernels_leave_input_rows_unchanged(matrix):
+    # independence_rank hands its tuples' own entries to rank_of, so a kernel
+    # that reduced an input row in place would corrupt them
+    sparse = _dense_to_sparse(matrix)
+    before = copy.deepcopy(sparse)
+    exact_rank(sparse)
+    modp_rank(sparse, PRIME)
+    for field in ("exact", "prime"):
+        rank_of(sparse, field)
+    assert sparse == before
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,6 +217,14 @@ def test_dedupe_rows_collapses_scalar_multiples():
     assert exact_rank(deduped) == exact_rank(rows) == 2
     # a rational multiple is a multiple mod p too, so one key serves both ranks
     assert rank_of(rows, "prime") == modp_rank(rows, PRIME) == 2
+
+
+def test_dedupe_keeps_a_multiple_of_a_row_that_vanishes_mod_p():
+    # (p + 1) * row is a rational multiple of p * row, but only the first is
+    # nonzero mod p
+    rows = [{0: PRIME, 3: 2 * PRIME}, {0: PRIME + 1, 3: 2 * PRIME + 2}, {0: 5, 3: 10}]
+    assert dedupe_rows(rows) == rows[:2]
+    assert rank_of(rows, "prime") == rank_of(rows) == 1
 
 
 @settings(max_examples=30, deadline=None)
