@@ -142,26 +142,40 @@ def modp_rank(rows: Iterable[SparseRow], prime: int) -> int:
     return rank
 
 
+def _multiple_key(row: SparseRow):
+    """The row with its content stripped and its first entry made positive.
+    A multiple over Q is a multiple mod p too unless the row vanishes mod p,
+    so rows whose content `PRIME` divides are keyed apart."""
+    items = sorted((c, n) for c, n in _strip_content(row).items() if n)
+    c0, n0 = items[0]
+    sign = 1 if n0 > 0 else -1
+    return (row[c0] // n0 % PRIME == 0, tuple((c, sign * n) for c, n in items))
+
+
 def dedupe_rows(rows: Iterable[SparseRow]) -> List[SparseRow]:
-    """Drop empty rows and rational multiples of an earlier row, keyed by the
-    row with its content stripped and its first entry made positive.  A
-    multiple over Q is a multiple mod p too unless the earlier row vanishes
-    mod p, so rows whose content `PRIME` divides are keyed apart, and both
-    rank kernels take the rows kept."""
+    """Drop empty rows and rational multiples of an earlier row; both rank
+    kernels take the rows kept.  Only rows of one support can be multiples
+    of each other, so a row's `_multiple_key` is computed only once its
+    support repeats."""
+    first_of: Dict[frozenset, object] = {}  # support -> its first row, or None once keyed
     seen = set()
     out: List[SparseRow] = []
     for row in rows:
-        items = sorted((c, n) for c, n in _strip_content(row).items() if n)
-        if not items:
+        support = frozenset(c for c, n in row.items() if n) if 0 in row.values() else frozenset(row)
+        if not support:
             continue
-        c0, n0 = items[0]
-        sign = 1 if n0 > 0 else -1
-        vanishes = row[c0] // n0 % PRIME == 0
-        key = (vanishes, tuple((c, sign * n) for c, n in items))
-        if key in seen:
+        if support not in first_of:
+            first_of[support] = row
+            out.append(row)
             continue
-        seen.add(key)
-        out.append(row)
+        first = first_of[support]
+        if first is not None:
+            seen.add(_multiple_key(first))
+            first_of[support] = None
+        key = _multiple_key(row)
+        if key not in seen:
+            seen.add(key)
+            out.append(row)
     return out
 
 

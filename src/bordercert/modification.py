@@ -27,7 +27,6 @@ from .monomial import (
     InternalInvariantError,
     Monomial,
     SegmentSpec,
-    monomials_of,
     segment,
 )
 from .orderideal import OrderIdealData
@@ -94,18 +93,21 @@ def _deep_factorization(oid: OrderIdealData, b: Monomial):
     """Split b = m' * b_src with b_src in the top degree-r block.
 
     m' is the lex-minimal back-variables divisor of the back part of b with
-    degree deg(b) - r; existence is guaranteed for every deep target monomial.
+    degree deg(b) - r, filled from x_n upward; existence is guaranteed for
+    every deep target monomial.
     """
     sig = oid.signature
     rest = b.try_div(Monomial.variable(sig.n, sig.delta, sig.r - sig.w))
     if rest is None:
         raise InternalInvariantError(f"deep target monomial {b} lacks the expected middle power")
-    candidates = [
-        m for m in monomials_of(sig.n, sig.delta + 1, b.degree - sig.r) if m.divides(rest)
-    ]
-    if not candidates:
+    need = b.degree - sig.r
+    exps = [0] * sig.n
+    for k in range(sig.n - 1, sig.delta - 1, -1):
+        exps[k] = min(need, rest.exps[k])
+        need -= exps[k]
+    if need:
         raise InternalInvariantError(f"no factorization of deep target monomial {b}")
-    m_prime = candidates[-1]  # negdeglex order within one degree = lex descending
+    m_prime = Monomial(exps)
     b_src = b.try_div(m_prime)
     if b_src is None or oid.index_of_border.get(b_src) is None:
         raise InternalInvariantError(f"factorization of {b} left the border")
@@ -172,22 +174,29 @@ def install_targets(base: BorderSystem, tm: TargetMap) -> BorderSystem:
     return BorderSystem(oid, tails, base.ring)
 
 
+def _build(oid: OrderIdealData, registry: Optional[IndeterminateRegistry]):
+    """Run the three steps; return the validated target map, the map after
+    step 2, and the system with that map installed, which step 3 reduces by."""
+    tm = step2(oid, step1(oid, registry))
+    partial = install_targets(generic_distinguished(oid, tm.registry), tm)
+    full = step3(oid, tm, partial)
+    _validate_targets(oid, full)
+    return full, tm, partial
+
+
 def build_targets(oid: OrderIdealData, registry: Optional[IndeterminateRegistry] = None) -> TargetMap:
     """Run the three steps and validate the resulting target map."""
-    tm = step1(oid, registry)
-    tm = step2(oid, tm)
-    sys_so_far = install_targets(generic_distinguished(oid, tm.registry), tm)
-    tm = step3(oid, tm, sys_so_far)
-    _validate_targets(oid, tm)
-    return tm
+    return _build(oid, registry)[0]
 
 
 def build_generic_modification(
     oid: OrderIdealData, registry: Optional[IndeterminateRegistry] = None
 ) -> BorderSystem:
-    """The generic system with every target installed."""
-    tm = build_targets(oid, registry)
-    sys = install_targets(generic_distinguished(oid, tm.registry), tm)
+    """The generic system with every target installed: step 3's targets are
+    added to the system that step 3 reduced by."""
+    full, early, partial = _build(oid, registry)
+    late = {j: t for j, t in full.targets.items() if j not in early.targets}
+    sys = install_targets(partial, TargetMap(full.registry, late))
     for tail in sys.tails:
         for y in tail.values():
             if y.constant_term:

@@ -103,13 +103,6 @@ class Monomial:
     def divides(self, other: "Monomial") -> bool:
         return all(a <= b for a, b in zip(self.exps, other.exps))
 
-    def min_variable(self) -> int:
-        """Smallest 1-based index k with x_k dividing self (0 for the unit)."""
-        for k, e in enumerate(self.exps, start=1):
-            if e:
-                return k
-        return 0
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         return self.mul(other)
 
@@ -145,26 +138,9 @@ def cmp_lex(a: Monomial, b: Monomial) -> int:
     return 1 if a.exps > b.exps else -1
 
 
-def cmp_negdeglex(a: Monomial, b: Monomial) -> int:
-    """-1 / 0 / +1 as a precedes / equals / follows b in negdeglex.
-
-    Lower total degree precedes; at equal degree the lex-greater monomial
-    precedes.
-    """
-    _check_same_ambient(a, b)
-    if a.degree != b.degree:
-        return -1 if a.degree < b.degree else 1
-    return -cmp_lex(a, b)
-
-
 def negdeglex_key(m: Monomial):
     """Sort key listing monomials in negdeglex order."""
     return (m.degree, tuple(-e for e in m.exps))
-
-
-def lex_key(m: Monomial):
-    """Sort key listing monomials in increasing lex order."""
-    return m.exps
 
 
 def _exponents_desc(num_vars: int, total: int) -> Iterator[tuple]:
@@ -189,11 +165,6 @@ def monomials_of(n: int, k: int, d: int) -> list:
         raise ArgumentError(f"degree must be nonnegative, got {d}")
     prefix = (0,) * (k - 1)
     return [Monomial(prefix + tail) for tail in _exponents_desc(n - k + 1, d)]
-
-
-def count_monomials(n: int, k: int, d: int) -> int:
-    """Cardinality of the degree-d slice in variables x_k..x_n."""
-    return math.comb(d + (n - k), d)
 
 
 @dataclass(frozen=True)

@@ -116,12 +116,6 @@ class OrderIdealData:
     ell: int
     tau: int
 
-    def basis_of_degree(self, d: int) -> Tuple[Monomial, ...]:
-        if d < 0 or d > self.signature.s:
-            return ()
-        lo = sum(self.hilbert[:d])
-        return self.basis[lo : lo + self.hilbert[d]]
-
     @cached_property
     def products(self) -> Tuple[Tuple[int, ...], ...]:
         """Where each product of a basis monomial with a variable lies.

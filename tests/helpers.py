@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from bordercert import Signature
 from bordercert.borderbasis import BorderSystem
+from bordercert.linalg import PRIME, _strip_content
+from bordercert.monomial import InternalInvariantError, Monomial, cmp_lex, monomials_of
 
 
 def fraction_rank(rows):
@@ -59,8 +62,6 @@ def membership_rows(sys, mult_degree):
     The row space is the degree-limited slice of the ideal, giving a linear-
     algebra membership oracle that is independent of the rewriting engine.
     """
-    from bordercert.monomial import monomials_of
-
     sig = sys.oid.signature
     top = mult_degree + sig.s + 1
     columns = [m for d in range(top + 1) for m in monomials_of(sig.n, 1, d)]
@@ -92,8 +93,6 @@ def as_dense_row(f, col_of):
 
 
 def monomial_lcm(m1, m2):
-    from bordercert.monomial import Monomial
-
     return Monomial(tuple(max(a, b) for a, b in zip(m1.exps, m2.exps)))
 
 
@@ -163,3 +162,76 @@ def paper_table_signatures():
         (6, 3, 4, 3, 2): ((1, 6, 21, 10, 15), 705),
         (6, 3, 4, 3, 1): ((1, 6, 21, 16, 25), 1023),
     }
+
+
+def cmp_negdeglex(a, b):
+    """-1 / 0 / +1 as a precedes / equals / follows b in negdeglex: lower
+    total degree precedes, and at equal degree the lex-greater monomial."""
+    if a.degree != b.degree:
+        return -1 if a.degree < b.degree else 1
+    return -cmp_lex(a, b)
+
+
+def lex_key(m):
+    """Sort key listing monomials in increasing lex order."""
+    return m.exps
+
+
+def count_monomials(n, k, d):
+    """Cardinality of the degree-d slice in variables x_k..x_n."""
+    return math.comb(d + (n - k), d)
+
+
+def min_variable(m):
+    """Smallest 1-based index k with x_k dividing m (0 for the unit)."""
+    return next((k for k, e in enumerate(m.exps, start=1) if e), 0)
+
+
+def basis_of_degree(oid, d):
+    """The basis monomials of degree d, a contiguous run of `oid.basis`."""
+    if d < 0 or d > oid.signature.s:
+        return ()
+    lo = sum(oid.hilbert[:d])
+    return oid.basis[lo : lo + oid.hilbert[d]]
+
+
+def render_system(sys):
+    """One line per border monomial: the rewrite rule b_j = tail."""
+    return "\n".join(f"{b} = {sys.tail_span(j)}" for j, b in enumerate(sys.oid.border, start=1))
+
+
+def dedupe_rows_reference(rows):
+    """Empty rows and rational multiples of an earlier row dropped, each row
+    keyed with its content stripped, its first entry made positive and a
+    flag for content divisible by `PRIME`; the rule `linalg.dedupe_rows`
+    must keep to."""
+    seen = set()
+    out = []
+    for row in rows:
+        items = sorted((c, n) for c, n in _strip_content(row).items() if n)
+        if not items:
+            continue
+        c0, n0 = items[0]
+        sign = 1 if n0 > 0 else -1
+        vanishes = row[c0] // n0 % PRIME == 0
+        key = (vanishes, tuple((c, sign * n) for c, n in items))
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(row)
+    return out
+
+
+def deep_factorization_reference(oid, b):
+    """(m', b_src) with m' the last back-variables divisor of the back part
+    of b of degree deg(b) - r in negdeglex, found by listing every monomial
+    of that degree."""
+    sig = oid.signature
+    rest = b.try_div(Monomial.variable(sig.n, sig.delta, sig.r - sig.w))
+    candidates = [
+        m for m in monomials_of(sig.n, sig.delta + 1, b.degree - sig.r) if m.divides(rest)
+    ]
+    if not candidates:
+        raise InternalInvariantError(f"no factorization of deep target monomial {b}")
+    m_prime = candidates[-1]
+    return m_prime, b.try_div(m_prime)

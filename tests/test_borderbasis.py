@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bordercert.borderbasis import (
     BorderSystem,
@@ -12,7 +14,6 @@ from bordercert.borderbasis import (
     is_border_basis,
     power_in_ideal,
     reduce,
-    render_system,
     s_polynomial,
     specialize_system,
 )
@@ -20,7 +21,14 @@ from bordercert.coeffring import CoeffPoly, IndeterminateRegistry, _integer_assi
 from bordercert.modification import build_generic_modification
 from bordercert.monomial import ArgumentError, Monomial, monomials_of
 from bordercert.orderideal import Signature, build
-from helpers import as_dense_row, fraction_rank, membership_rows, perturbed
+from helpers import (
+    as_dense_row,
+    fraction_rank,
+    membership_rows,
+    perturbed,
+    render_system,
+    small_signatures,
+)
 
 
 def _random_assignment(registry, seed):
@@ -191,6 +199,45 @@ def test_pair_check_matches_reference_on_perturbed_systems():
         ok, failures = _assert_same_check(perturbed(sym, j, i, CoeffPoly.constant(reg, 1)))
         assert not ok
     assert str(failures[0][0]) == "NeighborPair(j1=1, j2=2, alpha=2, beta=1)"
+
+
+def test_pair_check_on_a_verify_size_system_with_degree_2_perturbation():
+    oid = build(Signature(6, 4, 5, 1, 1))
+    reg = IndeterminateRegistry(oid)
+    sym = build_generic_modification(oid, reg)
+    assert is_border_basis(sym) == (True, [])
+    # a product of two indeterminates, so residues multiply exponent keys
+    product = CoeffPoly.indeterminate(reg, 0) * CoeffPoly.indeterminate(reg, reg.theta_id(1))
+    bad = perturbed(sym, oid.nu, 2, product)
+    ok, failures = is_border_basis(bad)
+    assert not ok
+    assert max(c.degree() for _, r in failures for c in r.terms.values()) == 3
+    for pair, residue in failures:
+        want = reduce(s_polynomial(bad, pair.j1, pair.j2, pair.alpha, pair.beta), bad)
+        assert residue == want and str(residue) == str(want)
+    assert str(failures[0][0]) == "NeighborPair(j1=1, j2=6, alpha=6, beta=1)"
+
+
+_SMALL = small_signatures(4, 5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_pair_check_matches_reference_on_random_perturbations(data):
+    """The whole failure list, pairs, order and residue strings, in both rings."""
+    oid = build(data.draw(st.sampled_from(_SMALL)))
+    reg = IndeterminateRegistry(oid)
+    sys = build_generic_modification(oid, reg)
+    j = data.draw(st.integers(1, oid.nu))
+    i = data.draw(st.integers(1, oid.mu))
+    if data.draw(st.booleans()):
+        a = data.draw(st.integers(0, len(reg) - 1))
+        b = data.draw(st.integers(0, len(reg) - 1))
+        coefficient = CoeffPoly.indeterminate(reg, a) * CoeffPoly.indeterminate(reg, b)
+    else:
+        sys = specialize_system(sys, _random_assignment(reg, data.draw(st.integers(1, 50))))
+        coefficient = data.draw(st.integers(-3, 3).filter(bool))
+    _assert_same_check(perturbed(sys, j, i, coefficient))
 
 
 def test_specialize_commutes_with_reduce():

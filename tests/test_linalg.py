@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from bordercert.linalg import PRIME, _by_column_count, dedupe_rows, exact_rank, modp_rank, rank_of
 from bordercert.monomial import ArgumentError
 
-from helpers import dense_modp_rank, fraction_rank
+from helpers import dedupe_rows_reference, dense_modp_rank, fraction_rank
 
 
 def _dense_to_sparse(matrix):
@@ -225,6 +225,44 @@ def test_dedupe_keeps_a_multiple_of_a_row_that_vanishes_mod_p():
     rows = [{0: PRIME, 3: 2 * PRIME}, {0: PRIME + 1, 3: 2 * PRIME + 2}, {0: 5, 3: 10}]
     assert dedupe_rows(rows) == rows[:2]
     assert rank_of(rows, "prime") == rank_of(rows) == 1
+
+
+# Rows drawn from a few base rows times small, negative and PRIME-divisible
+# factors, some with an explicit zero entry and some repeated as one object,
+# so supports repeat and multiples vanish mod p.
+_BASES = ({0: 1, 2: 3}, {0: 2, 2: 5}, {1: 4}, {0: 1, 1: -1, 3: 2}, {3: 6, 4: -9})
+_FACTORS = (1, 2, -1, -3, PRIME, -2 * PRIME, PRIME + 1, PRIME * PRIME)
+
+dedupe_strategy = st.lists(
+    st.tuples(
+        st.integers(0, len(_BASES) - 1),
+        st.sampled_from(_FACTORS),
+        st.booleans(),
+        st.booleans(),
+    ),
+    max_size=12,
+)
+
+
+def _dedupe_rows_from(draws):
+    rows = []
+    for base, factor, zero_entry, repeat in draws:
+        if repeat and rows:
+            rows.append(rows[-1])
+            continue
+        row = {c: factor * v for c, v in _BASES[base].items()}
+        if zero_entry:
+            row[7] = 0
+        rows.append(row)
+    return rows + [{}, {5: 0}]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dedupe_strategy)
+def test_dedupe_rows_keeps_the_reference_rows(draws):
+    rows = _dedupe_rows_from(draws)
+    got, want = dedupe_rows(rows), dedupe_rows_reference(rows)
+    assert [id(r) for r in got] == [id(r) for r in want]
 
 
 @settings(max_examples=30, deadline=None)

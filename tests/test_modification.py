@@ -13,6 +13,7 @@ import pytest
 from bordercert.borderbasis import SpanElement, generic_distinguished, is_border_basis
 from bordercert.coeffring import CoeffPoly, IndeterminateRegistry
 from bordercert.modification import (
+    _deep_factorization,
     build_generic_modification,
     build_targets,
     install_targets,
@@ -23,7 +24,7 @@ from bordercert.modification import (
 )
 from bordercert.monomial import ArgumentError, Monomial
 from bordercert.orderideal import Signature, build
-from helpers import small_signatures
+from helpers import deep_factorization_reference, min_variable, small_signatures
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -148,7 +149,7 @@ def test_deep_factorization_is_choice_independent():
             target = tm.targets[oid.index_of_border[b]]
             for src in top_block:
                 m_prime = b.try_div(src)
-                if m_prime is None or m_prime.min_variable() <= sig.delta:
+                if m_prime is None or min_variable(m_prime) <= sig.delta:
                     continue
                 shifted = tm.targets[oid.index_of_border[src]].monomial_multiple(m_prime)
                 truncated = SpanElement(
@@ -157,6 +158,17 @@ def test_deep_factorization_is_choice_independent():
                 assert truncated == target
                 checked += 1
         assert checked >= len(oid.s_deep)
+
+
+def test_deep_factorization_matches_the_listing_rule():
+    """The split filled from x_n upward is the last of all listed divisors."""
+    checked = 0
+    for sig in small_signatures(6, 6):
+        oid = build(sig)
+        for b in oid.s_deep:
+            assert _deep_factorization(oid, b) == deep_factorization_reference(oid, b), (sig, b)
+            checked += 1
+    assert checked > 6000
 
 
 def test_deep_targets_transport_along_paths():

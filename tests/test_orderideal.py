@@ -22,7 +22,7 @@ from bordercert.orderideal import (
     translation_frame,
 )
 
-from helpers import paper_table_signatures, small_signatures
+from helpers import basis_of_degree, paper_table_signatures, small_signatures
 
 
 def strs(ms):
@@ -108,7 +108,7 @@ def test_shape_to_signature():
     for n, kappa, r, s in [(5, 2, 2, 3), (4, 2, 2, 4), (6, 3, 3, 4)]:
         sig = shape_to_signature(n, kappa, r, s)
         oid = build(sig)
-        assert list(oid.basis_of_degree(r)) == monomials_of(n, n - kappa + 1, r)
+        assert list(basis_of_degree(oid, r)) == monomials_of(n, n - kappa + 1, r)
 
 
 # -------------------------------------------------------- structural oracles
@@ -153,7 +153,7 @@ def test_degree_slices_match_block_unions():
                 for e in range(d - sig.r + sig.w + 1, d + 1)
                 for m in segment(SegmentSpec(sig.n, sig.delta, d, (e,)))
             ]
-            assert list(oid.basis_of_degree(d)) == blocks
+            assert list(basis_of_degree(oid, d)) == blocks
 
 
 def test_hilbert_closed_form():
