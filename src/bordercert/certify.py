@@ -2,10 +2,15 @@
 
 The pipeline: build the order ideal, construct the generic modification,
 verify once, symbolically, that the whole family is made of border bases,
-record the least power of every variable lying in the ideal, run the
-tangent-dimension computation at several seeded specializations (each of
-which checks its own point again), and compare the minimum against the
-closed-form family dimension.
+record the least power of every variable lying in the ideal, and measure the
+tangent dimension at several seeded specializations, each of which checks
+its own point again.  In exact mode a trial first tries the witness
+certificate at its point (`tangent.witness_certificate`), which proves the
+tangent dimension over Q equals the family dimension dim(U) from two mod-p
+ranks and an exact kernel check; only where it fails does the trial take
+the exact rank.  A certified trial records dim(U) and one evidence line
+naming the certificate.  The verdict compares the minimum tangent dimension
+against dim(U) and the principal dimension.
 """
 
 from __future__ import annotations
@@ -20,11 +25,17 @@ from .borderbasis import (
     specialize_system,
 )
 from .coeffring import IndeterminateRegistry
-from .linalg import check_field
+from .linalg import PRIME, check_field
 from .modification import build_generic_modification
 from .monomial import ArgumentError
 from .orderideal import Signature, build, translation_frame
-from .tangent import dim_U, random_assignment, tangent_dimension
+from .tangent import (
+    checked_columns,
+    dim_U,
+    random_assignment,
+    tangent_dimension,
+    witness_certificate,
+)
 from .version import __version__
 
 
@@ -100,6 +111,7 @@ def certify(
     timings["build"] = time.perf_counter() - t0
 
     family_dim = dim_U(oid)
+    mu_nu = oid.mu * oid.nu
     principal = sig.n * oid.mu
     eta = translation_frame(oid).eta
 
@@ -123,12 +135,25 @@ def certify(
             # The generic system is not a border basis, so no trial has
             # powers to record or a tangent space to measure.
             continue
-        specialized = specialize_system(system, random_assignment(registry, trial_seed))
+        assignment = random_assignment(registry, trial_seed)
+        specialized = specialize_system(system, assignment)
         if powers is None:
             tp = time.perf_counter()
             powers = [power_in_ideal(specialized, var) for var in range(1, sig.n + 1)]
             timings["powers"] = time.perf_counter() - tp
-        row["tangentDim"] = tangent_dimension(specialized, field_kind)
+        if field_kind == "prime":
+            row["tangentDim"] = tangent_dimension(specialized, field_kind)
+            continue
+        columns = checked_columns(specialized)
+        if witness_certificate(system, assignment, specialized, columns):
+            row["tangentDim"] = family_dim
+            evidence.append(
+                f"trial seed {trial_seed}: witness certificate mod {PRIME}: {family_dim} "
+                f"coordinate tuples are independent exact tangent vectors; the tangent "
+                f"equations have rank {mu_nu - family_dim} = {mu_nu} - {family_dim}"
+            )
+        else:
+            row["tangentDim"] = tangent_dimension(specialized, "exact", columns)
     timings["tangent"] = time.perf_counter() - t0
 
     dims = sorted({t["tangentDim"] for t in trial_rows if t["tangentDim"] is not None})

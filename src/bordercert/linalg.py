@@ -1,20 +1,24 @@
 """Exact rank computation for sparse integer matrices.
 
 Rows are sparse mappings column -> integer; zero entries are ignored.  The
-rank over the rationals goes through a fraction-free elimination (combine
-rows by cross-multiplication and strip common factors), so no rounding can
-occur anywhere.  Prime mode reduces the entries modulo the fixed prime
-`PRIME` and uses ordinary elimination, each pivot kept unscaled beside the
-inverse of its lead; that is the only place where prime mode differs from
-exact mode.  `PRIME` is below 2^30, so every residue is a one-digit CPython
-int.  Both kernels take rows shortest first and pivot columns sparsest
-first, which limits fill-in.  Each kernel reduces a working row in place,
-a fresh dict built from the input row, so the caller's rows are never
-touched.  The row's lead comes from a heap of its columns: a column that
-cancels stays in the heap and is skipped when popped, and only fill-in
-columns are pushed.  A row that becomes a pivot is stored as a compact copy.
-Rank is invariant under transposition, so a caller may pass the columns of
-a tall matrix as rows.
+rank over the rationals goes through a fraction-free elimination: a row
+reducing against a pivot is scaled by the pivot's lead and the pivot's
+multiple subtracted, both multipliers divided by their gcd first and their
+signs flipped so the row's multiplier is positive, which spares the scaling
+pass whenever the lead is -1 or 1.  After each step the row is divided by
+its content, the gcd of all its entries taken in one `math.gcd` call, so
+no rounding can occur anywhere and entries stay small.  Prime mode reduces
+the entries modulo the fixed prime `PRIME` and uses ordinary elimination,
+each pivot kept unscaled beside the inverse of its lead.  `PRIME` is below
+2^30, so every residue is a one-digit CPython int.  `modp_rank` can stop as
+soon as a wanted rank is out of reach.  Both kernels take rows shortest
+first and pivot columns sparsest first, which limits fill-in.  Each kernel
+reduces a working row in place, scaling included, a fresh dict built from
+the input row, so the caller's rows are never touched.  The row's lead
+comes from a heap of its columns: a column that cancels stays in the heap
+and is skipped when popped, and only fill-in columns are pushed.  A row
+that becomes a pivot is stored as a compact copy.  Rank is invariant under
+transposition, so a caller may pass the columns of a tall matrix as rows.
 """
 
 from __future__ import annotations
@@ -37,15 +41,12 @@ def check_field(field: str) -> None:
         raise ArgumentError(f"unknown field {field!r} (use 'exact' or 'prime')")
 
 
-def _strip_content(row: SparseRow) -> SparseRow:
-    common = 0
-    for n in row.values():
-        common = gcd(common, n)
-        if common == 1:
-            return row
+def _divide_content(row: SparseRow) -> None:
+    """Divide the row, in place, by the gcd of its entries."""
+    common = gcd(*row.values())
     if common > 1:
-        return {c: n // common for c, n in row.items()}
-    return row
+        for c, v in row.items():
+            row[c] = v // common
 
 
 def _by_column_count(rows: List[SparseRow]) -> Dict[int, int]:
@@ -59,14 +60,16 @@ def _by_column_count(rows: List[SparseRow]) -> Dict[int, int]:
     return {c: k for k, c in enumerate(sorted(counts, key=lambda c: (counts[c], c)))}
 
 
-def exact_rank(rows: Iterable[SparseRow]) -> int:
-    """Rank over the rationals of sparse integer rows."""
+def _exact_pivots(rows: Iterable[SparseRow]) -> List[int]:
+    """Pivot columns of sparse integer rows over the rationals, in the order
+    the fraction-free elimination finds them."""
     rows = sorted(rows, key=len)  # sparse rows first limits fill-in
     pos = _by_column_count(rows)
     pivots: Dict[int, Dict[int, int]] = {}
-    rank = 0
+    leads: List[int] = []
     for raw in rows:
-        row = _strip_content({pos[c]: v for c, v in raw.items() if v})
+        row = {pos[c]: v for c, v in raw.items() if v}
+        _divide_content(row)
         heap = list(row)
         heapify(heap)
         while heap:
@@ -77,13 +80,16 @@ def exact_rank(rows: Iterable[SparseRow]) -> int:
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = dict(row)
-                rank += 1
+                leads.append(lead)
                 break
             pl = pivot[lead]
             g = gcd(pl, rl)
             pl, rl = pl // g, rl // g
+            if pl < 0:  # flipped, a lead of -1 needs no scaling pass
+                pl, rl = -pl, -rl
             if pl != 1:
-                row = {c: v * pl for c, v in row.items()}
+                for c, v in row.items():
+                    row[c] = v * pl
             for c, v in pivot.items():
                 n = row.get(c)
                 if n is None:
@@ -95,13 +101,25 @@ def exact_rank(rows: Iterable[SparseRow]) -> int:
                         row[c] = n
                     else:
                         del row[c]
-            row = _strip_content(row)
-    return rank
+            _divide_content(row)
+    column_at = list(pos)  # pos lists the columns in their order
+    return [column_at[lead] for lead in leads]
 
 
-def modp_rank(rows: Iterable[SparseRow], prime: int) -> int:
-    """Rank over the field with `prime` elements of integer rows."""
+def exact_rank(rows: Iterable[SparseRow]) -> int:
+    """Rank over the rationals of sparse integer rows."""
+    return len(_exact_pivots(rows))
+
+
+def modp_rank(rows: Iterable[SparseRow], prime: int, at_least: int = 0) -> int:
+    """Rank over the field with `prime` elements of integer rows.
+
+    Once so many rows have reduced to zero that the rank can no longer reach
+    `at_least`, the elimination stops and returns the rank found so far;
+    that and the rank itself are then both below `at_least`.
+    """
     rows = sorted(rows, key=len)
+    spare = len(rows) - at_least  # rows that may still reduce to zero
     pos = _by_column_count(rows)
     # A pivot is stored as it stands, with the inverse of its lead: scaling
     # it to lead 1 would turn nearly every small entry into a residue near
@@ -139,6 +157,10 @@ def modp_rank(rows: Iterable[SparseRow], prime: int) -> int:
                         row[c] = n
                     else:
                         del row[c]
+        else:  # the row reduced to zero
+            spare -= 1
+            if spare < 0:
+                break
     return rank
 
 
@@ -146,10 +168,10 @@ def _multiple_key(row: SparseRow):
     """The row with its content stripped and its first entry made positive.
     A multiple over Q is a multiple mod p too unless the row vanishes mod p,
     so rows whose content `PRIME` divides are keyed apart."""
-    items = sorted((c, n) for c, n in _strip_content(row).items() if n)
-    c0, n0 = items[0]
-    sign = 1 if n0 > 0 else -1
-    return (row[c0] // n0 % PRIME == 0, tuple((c, sign * n) for c, n in items))
+    common = gcd(*row.values())
+    items = sorted((c, n // common) for c, n in row.items() if n)
+    sign = 1 if items[0][1] > 0 else -1
+    return (common % PRIME == 0, tuple((c, sign * n) for c, n in items))
 
 
 def dedupe_rows(rows: Iterable[SparseRow]) -> List[SparseRow]:

@@ -14,7 +14,12 @@ monomial is built or reduced.
 Coordinate tangent tuples differentiate the constructed family itself: one
 tuple per free tail slot, per free target coefficient, and per translation
 direction.  Their joint rank equals the closed-form family dimension at a
-sufficiently general specialization, which is the certification criterion.
+sufficiently general specialization.  `witness_certificate` turns them into
+a proof that the tangent dimension over Q is dim(U): the tuples are exact
+kernel vectors of the tangent equations and independent mod `linalg.PRIME`,
+and the equations have rank mu*nu - dim(U) mod the same prime.  That takes
+two mod-p ranks in place of the exact one; where it fails, exact mode falls
+back to `tangent_dimension` over Q.
 
 Every tuple is a sparse integer row {column: nonzero value}, as `linalg`
 ranks it: a parameter tuple is a tail gradient at the point, a translation
@@ -25,15 +30,17 @@ translation frame, the tail gradients and each generator's partial along
 each variable, already reduced to a vector on basis indices.  A translation
 tuple multiplies that vector by the shift one variable at a time, each step
 read from the product table; at a border basis the multiplication maps
-commute, so this is the normal form of the partial times the shift.  Prime
-mode differs only in that the tangent rank is computed modulo `linalg.PRIME`.
+commute, so this is the normal form of the partial times the shift.
+`checked_columns` checks a point and assembles its equations once, for the
+certificate and the fallback alike.  Prime mode differs only in that the
+tangent rank is computed modulo `linalg.PRIME`.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .borderbasis import (
     BorderSystem,
@@ -43,7 +50,7 @@ from .borderbasis import (
     specialize_system,
 )
 from .coeffring import IndeterminateRegistry, _integer_assignment
-from .linalg import check_field, rank_of
+from .linalg import PRIME, check_field, modp_rank, rank_of
 from .monomial import ArgumentError, InternalInvariantError
 from .orderideal import OrderIdealData, TranslationFrame, translation_frame
 
@@ -133,17 +140,29 @@ def _require_border_basis(spec: BorderSystem) -> None:
         raise ArgumentError(f"not a border basis: pair {pair} leaves residue {residue}")
 
 
-def tangent_dimension(sys: BorderSystem, field: str = "exact") -> int:
-    """dim of first-order deformations of the border basis at `sys`, with the
-    rank taken over Q (field "exact") or modulo `linalg.PRIME` ("prime")."""
-    check_field(field)
-    if sys.ring.kind != "rational":
+def checked_columns(spec: BorderSystem) -> List[Dict[int, int]]:
+    """The tangent equations at `spec` held by column, once `spec` is known
+    to be a specialized border basis."""
+    if spec.ring.kind != "rational":
         raise ArgumentError("tangent dimension needs a specialized system")
-    _require_border_basis(sys)
+    _require_border_basis(spec)
+    return _tangent_columns(spec)
+
+
+def tangent_dimension(
+    sys: BorderSystem, field: str = "exact", columns: Optional[List[Dict[int, int]]] = None
+) -> int:
+    """dim of first-order deformations of the border basis at `sys`, with the
+    rank taken over Q (field "exact") or modulo `linalg.PRIME` ("prime").
+    `columns`, when given, are `checked_columns(sys)`, so neither the check
+    nor the assembly runs again."""
+    check_field(field)
+    if columns is None:
+        columns = checked_columns(sys)
     oid = sys.oid
     # A matrix and its transpose have the same rank; the system is tall, so
     # eliminating its columns leaves far fewer vectors to reduce to zero.
-    cols = [vec for vec in _tangent_columns(sys) if vec]
+    cols = [vec for vec in columns if vec]
     dim = oid.mu * oid.nu - rank_of(cols, field)
     if dim < dim_U(oid):
         raise InternalInvariantError(
@@ -197,10 +216,16 @@ def tangent_point(sys_generic: BorderSystem, assignment) -> TangentPoint:
     """Specialize once and collect what the coordinate tuples at `assignment` read."""
     if sys_generic.ring.kind != "poly":
         raise ArgumentError("coordinate tuples differentiate the symbolic system")
-    oid = sys_generic.oid
     values = _integer_assignment(sys_generic.ring.registry, assignment)
     spec = specialize_system(sys_generic, values)
     _require_border_basis(spec)
+    return _point_at(sys_generic, values, spec)
+
+
+def _point_at(sys_generic: BorderSystem, values, spec: BorderSystem) -> TangentPoint:
+    """The tangent point of `spec`, which is `sys_generic` specialized at
+    `values` and already checked to be a border basis."""
+    oid = sys_generic.oid
     frame = translation_frame(oid)
     generators = [spec.generator(j) for j in range(1, oid.nu + 1)]
     partials = {
@@ -265,3 +290,40 @@ def independence_rank(sys_generic: BorderSystem, assignment) -> int:
     point = tangent_point(sys_generic, assignment)
     labels = coordinate_labels(sys_generic)
     return rank_of([coordinate_tangent_tuple(sys_generic, point, chi).entries for chi in labels])
+
+
+# ------------------------------------------------------ witness certificate
+
+
+def witness_certificate(
+    sys_generic: BorderSystem, assignment, spec: BorderSystem, columns: List[Dict[int, int]]
+) -> bool:
+    """Whether the coordinate tuples prove that the tangent dimension at
+    `spec` over Q is dim(U).
+
+    `spec` is `sys_generic` specialized at `assignment`, and `columns` are
+    `checked_columns(spec)`.  The certificate has three parts, p = `PRIME`:
+    (c) the columns have rank mu*nu - dim(U) mod p; (a) every coordinate
+    tuple is a kernel vector of the columns over Z; (b) the tuples have rank
+    dim(U) mod p.  A rank mod p is at most the rank over Q, so (a) and (b)
+    give dim(U) <= dim_Q and (c) gives dim_Q <= dim_p = dim(U).  Part (c)
+    runs first and stops as soon as its rank can no longer be reached.
+    """
+    oid = spec.oid
+    family = dim_U(oid)
+    target = oid.mu * oid.nu - family
+    if modp_rank([vec for vec in columns if vec], PRIME, target) != target:
+        return False
+    point = _point_at(sys_generic, _integer_assignment(sys_generic.ring.registry, assignment), spec)
+    tuples = [
+        coordinate_tangent_tuple(sys_generic, point, chi).entries
+        for chi in coordinate_labels(sys_generic)
+    ]
+    for entries in tuples:
+        image: Dict[int, int] = {}
+        for col, a in entries.items():
+            for eq, c in columns[col].items():
+                image[eq] = image.get(eq, 0) + a * c
+        if any(image.values()):
+            return False
+    return modp_rank(tuples, PRIME, family) == family

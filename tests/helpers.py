@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from bordercert import Signature
 from bordercert.borderbasis import BorderSystem
-from bordercert.linalg import PRIME, _strip_content
+from bordercert.linalg import PRIME, _by_column_count
 from bordercert.monomial import InternalInvariantError, Monomial, cmp_lex, monomials_of
 
 
@@ -200,6 +201,16 @@ def render_system(sys):
     return "\n".join(f"{b} = {sys.tail_span(j)}" for j, b in enumerate(sys.oid.border, start=1))
 
 
+def _strip_content(row):
+    """The row divided by the gcd of its entries, taken entry by entry."""
+    common = 0
+    for n in row.values():
+        common = math.gcd(common, n)
+        if common == 1:
+            return row
+    return {c: n // common for c, n in row.items()} if common > 1 else row
+
+
 def dedupe_rows_reference(rows):
     """Empty rows and rational multiples of an earlier row dropped, each row
     keyed with its content stripped, its first entry made positive and a
@@ -220,6 +231,51 @@ def dedupe_rows_reference(rows):
         seen.add(key)
         out.append(row)
     return out
+
+
+def exact_pivots_reference(rows):
+    """Pivot columns over the rationals, in the order found, by the
+    fraction-free kernel `linalg._exact_pivots` replaced: it scales the
+    working row by the pivot's lead whenever that lead is not 1, -1
+    included, into a new dict, and strips the content entry by entry.
+    `linalg` must find the same pivots in the same order."""
+    rows = sorted(rows, key=len)
+    pos = _by_column_count(rows)
+    pivots = {}
+    leads = []
+    for raw in rows:
+        row = _strip_content({pos[c]: v for c, v in raw.items() if v})
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            lead = heappop(heap)
+            rl = row.get(lead)
+            if rl is None:
+                continue
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = dict(row)
+                leads.append(lead)
+                break
+            pl = pivot[lead]
+            g = math.gcd(pl, rl)
+            pl, rl = pl // g, rl // g
+            if pl != 1:
+                row = {c: v * pl for c, v in row.items()}
+            for c, v in pivot.items():
+                n = row.get(c)
+                if n is None:
+                    row[c] = -v * rl
+                    heappush(heap, c)
+                else:
+                    n -= v * rl
+                    if n:
+                        row[c] = n
+                    else:
+                        del row[c]
+            row = _strip_content(row)
+    column_at = list(pos)
+    return [column_at[lead] for lead in leads]
 
 
 def deep_factorization_reference(oid, b):

@@ -47,7 +47,11 @@ def test_certified_small_case():
     assert [t["seed"] for t in report.trials] == [1, 2]
     assert all(t["field"] == "exact" for t in report.trials)
     assert report.toolVersion == __version__
-    assert report.evidence == []
+    assert report.evidence == [
+        f"trial seed {seed}: witness certificate mod {PRIME}: 59 coordinate tuples are "
+        "independent exact tangent vectors; the tangent equations have rank 435 = 494 - 59"
+        for seed in (1, 2)
+    ]
 
 
 def test_certified_first_table_row():
@@ -192,6 +196,59 @@ def test_prime_mode_ranks_modulo_the_fixed_prime(monkeypatch):
     report = certify(Signature(5, 2, 3, 3, 1), trials=1, field_kind="prime")
     assert [t["tangentDim"] for t in report.trials] == [59]
     assert moduli and set(moduli) == {PRIME}
+
+
+def _certificate_line(seed, dim_u, mu_nu):
+    return (
+        f"trial seed {seed}: witness certificate mod {PRIME}: {dim_u} coordinate tuples are "
+        f"independent exact tangent vectors; the tangent equations have rank "
+        f"{mu_nu - dim_u} = {mu_nu} - {dim_u}"
+    )
+
+
+def test_exact_certification_needs_no_exact_rank(monkeypatch):
+    def never(rows):
+        raise AssertionError("the witness certificate should have held")
+
+    monkeypatch.setattr(importlib.import_module("bordercert.linalg"), "exact_rank", never)
+    report = certify(Signature(6, 2, 4, 4, 0), trials=1)
+    assert report.verdict == "ELEMENTARY_CERTIFIED"
+    assert [t["tangentDim"] for t in report.trials] == [186]
+    assert report.evidence == [_certificate_line(1, 186, 28 * 99)]
+
+
+def test_a_bent_tuple_falls_back_to_the_exact_rank(monkeypatch):
+    tangent = importlib.import_module("bordercert.tangent")
+    linalg = importlib.import_module("bordercert.linalg")
+    real_tuple, real_rank = tangent.coordinate_tangent_tuple, linalg.exact_rank
+    exact_ranks = []
+
+    def bent(sys, point, chi):
+        tup = real_tuple(sys, point, chi)
+        if chi == "theta[1]":
+            # column 0, the unknown a_11, meets the equations: part (a) fails
+            tup.entries[0] = tup.entries.get(0, 0) + 1
+        return tup
+
+    def counted(rows):
+        exact_ranks.append(real_rank(rows))
+        return exact_ranks[-1]
+
+    monkeypatch.setattr(tangent, "coordinate_tangent_tuple", bent)
+    monkeypatch.setattr(linalg, "exact_rank", counted)
+    report = certify(Signature(5, 2, 3, 3, 1), trials=1)
+    assert report.verdict == "ELEMENTARY_CERTIFIED"
+    assert [t["tangentDim"] for t in report.trials] == [59]
+    assert report.evidence == []
+    assert exact_ranks == [494 - 59]
+
+
+def test_failed_certificate_keeps_the_exact_dimension():
+    # the tangent dimension 129 exceeds dim(U) = 50, so no witness can hold
+    report = certify(Signature(3, 4, 6, 2, 1), trials=1)
+    assert report.verdict == "INCONCLUSIVE"
+    assert [t["tangentDim"] for t in report.trials] == [129]
+    assert report.evidence == []
 
 
 if __name__ == "__main__":

@@ -10,10 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bordercert.linalg import PRIME, _by_column_count, dedupe_rows, exact_rank, modp_rank, rank_of
+from bordercert.linalg import (
+    PRIME,
+    _by_column_count,
+    _exact_pivots,
+    dedupe_rows,
+    exact_rank,
+    modp_rank,
+    rank_of,
+)
 from bordercert.monomial import ArgumentError
 
-from helpers import dedupe_rows_reference, dense_modp_rank, fraction_rank
+from helpers import dedupe_rows_reference, dense_modp_rank, exact_pivots_reference, fraction_rank
 
 
 def _dense_to_sparse(matrix):
@@ -99,6 +107,46 @@ def test_modp_rank_matches_dense_modp_oracle(matrix):
     expected = dense_modp_rank(matrix, PRIME)
     assert modp_rank(sparse, PRIME) == expected
     assert rank_of(sparse, "prime") == expected
+
+
+def test_exact_rank_through_negative_non_unit_leads():
+    # With content stripped, the pivots on columns 0, 1 and 2 have leads -3,
+    # -11 and -93, so later rows reduce through negative multipliers, units
+    # and not; the last row is 2*row0 - 3*row1 and reduces to zero.
+    matrix = [[-3, 2, 3, -4], [-3, -9, -6, -4], [-3, 5, -3, 3], [-9, 4, 4, 4], [3, 31, 24, 4]]
+    sparse = _dense_to_sparse(matrix)
+    assert exact_rank(sparse) == fraction_rank(matrix) == 4
+    assert _exact_pivots(sparse) == exact_pivots_reference(sparse) == [0, 1, 2, 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(sparse_matrix_strategy, lifted_matrix_strategy))
+def test_exact_pivots_match_the_reference_kernel(matrix):
+    # a flipped sign or a stripped content scales a row by a nonzero
+    # rational, so the supports, and with them the pivots, stay the same
+    sparse = _dense_to_sparse(matrix)
+    assert _exact_pivots(sparse) == exact_pivots_reference(sparse)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(sparse_matrix_strategy, lifted_matrix_strategy), st.integers(0, 15))
+def test_modp_rank_stops_only_below_at_least(matrix, at_least):
+    sparse = _dense_to_sparse(matrix)
+    rank = modp_rank(sparse, PRIME)
+    got = modp_rank(sparse, PRIME, at_least)
+    if rank >= at_least:
+        assert got == rank
+    else:
+        assert got <= rank < at_least
+
+
+def test_modp_rank_gives_up_once_the_target_is_out_of_reach():
+    # shortest first, the second row reduces to zero, so a rank of 4 from 4
+    # rows is out of reach before the two longer rows are read
+    rows = [{1: 1, 2: 1}, {0: 3}, {1: 1, 2: 5}, {0: 1}]
+    assert modp_rank(rows, PRIME) == 3
+    assert modp_rank(rows, PRIME, 3) == 3
+    assert modp_rank(rows, PRIME, 4) == 1
 
 
 @settings(max_examples=40, deadline=None)

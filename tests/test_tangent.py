@@ -5,6 +5,8 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bordercert.borderbasis import (
     SpanElement,
@@ -14,12 +16,14 @@ from bordercert.borderbasis import (
     specialize_system,
 )
 from bordercert.coeffring import CoeffPoly, IndeterminateRegistry
-from bordercert.linalg import rank_of
+from bordercert.linalg import PRIME, _exact_pivots, modp_rank, rank_of
 from bordercert.modification import build_generic_modification
 from bordercert.monomial import ArgumentError
 from bordercert.orderideal import Signature, build, translation_frame
 from bordercert.tangent import (
     TangentTuple,
+    _tangent_columns,
+    checked_columns,
     coordinate_labels,
     coordinate_tangent_tuple,
     dim_U,
@@ -27,9 +31,16 @@ from bordercert.tangent import (
     random_assignment,
     tangent_dimension,
     tangent_point,
+    witness_certificate,
 )
 
-from helpers import hom_tangent_oracle, paper_table_signatures, perturbed, small_signatures
+from helpers import (
+    exact_pivots_reference,
+    hom_tangent_oracle,
+    paper_table_signatures,
+    perturbed,
+    small_signatures,
+)
 
 
 def _modified_specialized(sig, seed=1):
@@ -439,6 +450,102 @@ def test_independence_rank_small_case():
     system = build_generic_modification(oid, registry)
     assignment = random_assignment(registry, seed=5)
     assert independence_rank(system, assignment) == dim_U(oid)
+
+
+# ---------------------------------------------------------------------------
+# the exact kernel on tangent columns
+
+
+@pytest.mark.parametrize(
+    "sig, rank",
+    [((5, 2, 3, 3, 1), 435), ((3, 4, 6, 2, 1), 654), ((5, 2, 3, 3, 0), 778), ((4, 3, 4, 2, 1), 1315)],
+)
+def test_exact_pivots_on_tangent_columns_match_the_reference_kernel(sig, rank):
+    _, spec = _modified_specialized(Signature(*sig))
+    cols = [vec for vec in _tangent_columns(spec) if vec]
+    pivots = _exact_pivots(cols)
+    assert len(pivots) == rank
+    assert pivots == exact_pivots_reference(cols)
+
+
+# ---------------------------------------------------------------------------
+# witness certificate
+
+
+@pytest.fixture(scope="module")
+def witness_fixture():
+    oid = build(Signature(5, 2, 3, 3, 1))
+    registry = IndeterminateRegistry(oid)
+    system = build_generic_modification(oid, registry)
+    assignment = random_assignment(registry, seed=1)
+    spec = specialize_system(system, assignment)
+    return system, assignment, spec, checked_columns(spec)
+
+
+def test_witness_certificate_holds_at_a_general_point(witness_fixture):
+    assert witness_certificate(*witness_fixture)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_witness_certificate_refuses_a_perturbed_tuple_entry(witness_fixture, data):
+    # an entry on an empty column leaves a kernel vector, so only entries on
+    # columns that meet an equation are perturbed
+    system, assignment, spec, columns = witness_fixture
+    chi = data.draw(st.sampled_from(coordinate_labels(system)))
+    col = data.draw(st.sampled_from([c for c, vec in enumerate(columns) if vec]))
+    delta = data.draw(st.integers(-3, 3).filter(bool))
+    real = coordinate_tangent_tuple
+
+    def bent(sys, point, label):
+        tup = real(sys, point, label)
+        if label == chi:
+            tup.entries[col] = tup.entries.get(col, 0) + delta
+        return tup
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("bordercert.tangent.coordinate_tangent_tuple", bent)
+        assert not witness_certificate(system, assignment, spec, columns)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_witness_certificate_refuses_a_perturbed_tail(witness_fixture, data):
+    system, assignment, spec, _ = witness_fixture
+    j = data.draw(st.integers(1, spec.oid.nu))
+    i = data.draw(st.integers(1, spec.oid.mu))
+    bad = perturbed(spec, j, i, 1)
+    # a slot the family moves freely keeps a border basis, at another point
+    if not is_border_basis(bad)[0]:
+        with pytest.raises(ArgumentError, match="not a border basis"):
+            checked_columns(bad)
+    # either way the tuples of the true point are no witness for the columns
+    # of the perturbed one
+    assert not witness_certificate(system, assignment, spec, _tangent_columns(bad))
+
+
+def test_witness_certificate_stops_early_where_it_fails(monkeypatch):
+    # At (3,4,6,2,1) the tangent dimension is 129, far above dim(U) = 50, so
+    # part (c) gives up long before the columns reach their rank 783 - 129.
+    oid = build(Signature(3, 4, 6, 2, 1))
+    registry = IndeterminateRegistry(oid)
+    system = build_generic_modification(oid, registry)
+    assignment = random_assignment(registry, seed=1)
+    spec = specialize_system(system, assignment)
+    columns = checked_columns(spec)
+    ranks = []
+
+    def recorded(rows, prime, at_least=0):
+        ranks.append((at_least, modp_rank(rows, prime, at_least)))
+        return ranks[-1][1]
+
+    monkeypatch.setattr("bordercert.tangent.modp_rank", recorded)
+    assert not witness_certificate(system, assignment, spec, columns)
+    assert len(ranks) == 1
+    target, got = ranks[0]
+    assert target == oid.mu * oid.nu - dim_U(oid) == 733
+    assert got < 654 == modp_rank([vec for vec in columns if vec], PRIME)
+    assert tangent_dimension(spec, "exact", columns) == 129
 
 
 if __name__ == "__main__":
