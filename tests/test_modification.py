@@ -5,6 +5,7 @@ values: every coefficient of the (3,4,6,2,1) target of b[11] was derived by
 expanding reduce(x2 * target(b[12])) manually and dividing by x3.
 """
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -299,3 +300,19 @@ def test_render_targets_format():
         assert m, line
         js.append(int(m.group(1)))
     assert js == sorted(js)
+
+
+def test_target_assignment_digest():
+    """Every target and every generic tail over small_signatures(5, 5), pinned
+    by one SHA-256 digest of `render_targets` and the sorted tail strings."""
+    digest = hashlib.sha256()
+    for sig in small_signatures(5, 5):
+        oid = build(sig)
+        reg = IndeterminateRegistry(oid)
+        system = build_generic_modification(oid, reg)
+        digest.update(f"{sig}\n{render_targets(oid, build_targets(oid, reg))}\n".encode())
+        tails = sorted(str(system.tail_span(j)) for j in range(1, oid.nu + 1))
+        digest.update("\n".join(tails).encode())
+    assert digest.hexdigest() == (
+        "60c267d605d993a4ae2ca10067e20003efaaf9eb96828d51009f7d12ead1d944"
+    )
