@@ -2,58 +2,41 @@
 
 Certain border generators receive an extra *target* polynomial: a combination
 of basis monomials of degree >= r with coefficients in the free target
-indeterminates theta[q].  Step 1 seeds the top block of degree-r border
-monomials in the middle-and-back variables and spreads it across the block by
-the exact factor member / top; step 2 pushes the targets up to the deeper
-target-bearing border monomials by multiplication and truncation; step 3
-walks the remaining degree-r blocks downward, each time reducing the middle
-variable times the previous target modulo the partially built system and
-dividing the result exactly by the first back variable.
+indeterminates theta[q].  The degree-r target-bearing border monomials
+`oid.s_lead` fall into blocks by their exponent of the middle variable
+x_delta: block e holds the members with x_delta^(r-e), and its first member
+is its top.  Step 1 seeds the top block (e = w) and spreads it across the
+block by the exact factor member / top; step 2 pushes the targets up to the
+deeper target-bearing border monomials by multiplication and truncation;
+step 3 walks the remaining degree-r blocks downward, each time reducing the
+middle variable times the previous target modulo the partially built system
+and dividing the result exactly by the first back variable.
 
 Adding the target of b_j to its generator turns Y_ij into
 C_ij (trailing slots of a leading monomial) minus the t_i-coefficient of the
-target; `install_targets` performs exactly that bookkeeping.
+target; `install_targets` performs exactly that bookkeeping.  Targets are
+plain dicts {1-based border index: SpanElement}; absent entries mean zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .borderbasis import BorderSystem, SpanElement, generic_distinguished, reduce
 from .coeffring import CoeffPoly, IndeterminateRegistry
-from .monomial import (
-    ArgumentError,
-    InternalInvariantError,
-    Monomial,
-    SegmentSpec,
-    segment,
-)
+from .monomial import ArgumentError, InternalInvariantError, Monomial
 from .orderideal import OrderIdealData
 
 
-@dataclass(frozen=True)
-class TargetMap:
-    """Targets keyed by 1-based border index; absent entries mean zero."""
-
-    registry: IndeterminateRegistry
-    targets: Dict[int, SpanElement]
-
-    def get(self, j: int) -> SpanElement:
-        return self.targets.get(j, SpanElement())
-
-    def with_targets(self, extra: Dict[int, SpanElement]) -> "TargetMap":
-        merged = dict(self.targets)
-        merged.update(extra)
-        return TargetMap(self.registry, merged)
-
-
 def _lead_block(oid: OrderIdealData, e: int):
+    """Block e of `oid.s_lead`: its members with x_delta^(r-e), in order."""
     sig = oid.signature
-    return segment(SegmentSpec(sig.n, sig.delta, sig.r, (e,)))
+    return [m for m in oid.s_lead if m.exps[sig.delta - 1] == sig.r - e]
 
 
-def _propagated(oid: OrderIdealData, block, source_target: SpanElement) -> Dict[int, SpanElement]:
+def _propagated(
+    oid: OrderIdealData, block, source_target: SpanElement
+) -> Dict[int, SpanElement]:
     """Move the target of top = block[0] to every other member m of its block.
 
     Each term t becomes t * m / top, and that division must be exact.  This is
@@ -75,18 +58,15 @@ def _propagated(oid: OrderIdealData, block, source_target: SpanElement) -> Dict[
     return out
 
 
-def step1(oid: OrderIdealData, registry: Optional[IndeterminateRegistry] = None) -> TargetMap:
+def step1(oid: OrderIdealData, registry: IndeterminateRegistry) -> Dict[int, SpanElement]:
     """Seed the top degree-r block with the free target coefficients."""
-    if registry is None:
-        registry = IndeterminateRegistry(oid)
     seed = SpanElement(
         {
             t: CoeffPoly.indeterminate(registry, registry.theta_id(q))
             for q, t in enumerate(oid.tar_double_prime, start=1)
         }
     )
-    block = _lead_block(oid, oid.signature.w)
-    return TargetMap(registry, _propagated(oid, block, seed))
+    return _propagated(oid, _lead_block(oid, oid.signature.w), seed)
 
 
 def _deep_factorization(oid: OrderIdealData, b: Monomial):
@@ -114,32 +94,34 @@ def _deep_factorization(oid: OrderIdealData, b: Monomial):
     return m_prime, b_src
 
 
-def step2(oid: OrderIdealData, tm: TargetMap) -> TargetMap:
+def step2(oid: OrderIdealData, targets: Dict[int, SpanElement]) -> Dict[int, SpanElement]:
     """Extend the targets to the deeper target-bearing border monomials."""
     sig = oid.signature
-    extra: Dict[int, SpanElement] = {}
+    out = dict(targets)
     for b in oid.s_deep:
         m_prime, b_src = _deep_factorization(oid, b)
-        src = tm.targets.get(oid.index_of_border[b_src])
+        src = targets.get(oid.index_of_border[b_src])
         if src is None:
             raise ArgumentError("step2 requires the degree-r targets from step1")
         # targets stop at degree s, so drop a term before m' would lift it past s
         bound = sig.s - m_prime.degree
-        extra[oid.index_of_border[b]] = SpanElement(
+        out[oid.index_of_border[b]] = SpanElement(
             {t.mul(m_prime): c for t, c in src.terms.items() if t.degree <= bound}
         )
-    return tm.with_targets(extra)
+    return out
 
 
-def step3(oid: OrderIdealData, tm: TargetMap, sys_so_far: BorderSystem) -> TargetMap:
+def step3(
+    oid: OrderIdealData, targets: Dict[int, SpanElement], sys_so_far: BorderSystem
+) -> Dict[int, SpanElement]:
     """Fill the remaining degree-r blocks by reduce-and-divide, top down."""
     sig = oid.signature
     delta, back = sig.delta, sig.delta + 1
     x_delta = Monomial.variable(sig.n, delta)
-    out = tm
+    out = dict(targets)
     for e in range(sig.w, 0, -1):
         top = _lead_block(oid, e)[0]
-        current = out.targets.get(oid.index_of_border[top])
+        current = out.get(oid.index_of_border[top])
         if current is None:
             raise ArgumentError(f"step3 requires the target of {top} before extending below it")
         reduced = reduce(current.monomial_multiple(x_delta), sys_so_far)
@@ -150,16 +132,15 @@ def step3(oid: OrderIdealData, tm: TargetMap, sys_so_far: BorderSystem) -> Targe
                     f"reduction of x{delta}*target({top}) is not divisible by x{back}^{e}"
                 )
             shifted[t.div_var(back)] = c
-        block = _lead_block(oid, e - 1)
-        out = out.with_targets(_propagated(oid, block, SpanElement(shifted)))
+        out.update(_propagated(oid, _lead_block(oid, e - 1), SpanElement(shifted)))
     return out
 
 
-def install_targets(base: BorderSystem, tm: TargetMap) -> BorderSystem:
+def install_targets(base: BorderSystem, targets: Dict[int, SpanElement]) -> BorderSystem:
     """Add each target into its generator: Y_ij -= coefficient of t_i in the target."""
     oid = base.oid
     tails = [dict(t) for t in base.tails]
-    for j, target in tm.targets.items():
+    for j, target in targets.items():
         tail = tails[j - 1]
         for t, c in target.terms.items():
             i = oid.index_of_basis.get(t)
@@ -175,17 +156,21 @@ def install_targets(base: BorderSystem, tm: TargetMap) -> BorderSystem:
 
 
 def _build(oid: OrderIdealData, registry: Optional[IndeterminateRegistry]):
-    """Run the three steps; return the validated target map, the map after
-    step 2, and the system with that map installed, which step 3 reduces by."""
-    tm = step2(oid, step1(oid, registry))
-    partial = install_targets(generic_distinguished(oid, tm.registry), tm)
-    full = step3(oid, tm, partial)
-    _validate_targets(oid, full)
-    return full, tm, partial
+    """Run the three steps; return the validated targets, the targets after
+    step 2, and the system with those installed, which step 3 reduces by."""
+    if registry is None:
+        registry = IndeterminateRegistry(oid)
+    early = step2(oid, step1(oid, registry))
+    partial = install_targets(generic_distinguished(oid, registry), early)
+    full = step3(oid, early, partial)
+    _validate_targets(oid, full, registry)
+    return full, early, partial
 
 
-def build_targets(oid: OrderIdealData, registry: Optional[IndeterminateRegistry] = None) -> TargetMap:
-    """Run the three steps and validate the resulting target map."""
+def build_targets(
+    oid: OrderIdealData, registry: Optional[IndeterminateRegistry] = None
+) -> Dict[int, SpanElement]:
+    """Run the three steps and validate the resulting targets."""
     return _build(oid, registry)[0]
 
 
@@ -195,8 +180,7 @@ def build_generic_modification(
     """The generic system with every target installed: step 3's targets are
     added to the system that step 3 reduced by."""
     full, early, partial = _build(oid, registry)
-    late = {j: t for j, t in full.targets.items() if j not in early.targets}
-    sys = install_targets(partial, TargetMap(full.registry, late))
+    sys = install_targets(partial, {j: t for j, t in full.items() if j not in early})
     for tail in sys.tails:
         for y in tail.values():
             if y.constant_term:
@@ -204,17 +188,19 @@ def build_generic_modification(
     return sys
 
 
-def _validate_targets(oid: OrderIdealData, tm: TargetMap) -> None:
+def _validate_targets(
+    oid: OrderIdealData, targets: Dict[int, SpanElement], registry: IndeterminateRegistry
+) -> None:
     sig = oid.signature
     expected = {oid.index_of_border[m] for m in oid.s_lead} | {
         oid.index_of_border[m] for m in oid.s_deep
     }
-    if set(tm.targets) != expected:
+    if set(targets) != expected:
         raise InternalInvariantError("targets must cover exactly the target-bearing border monomials")
     tar_prime_set = set(oid.tar_prime)
     tar_all_set = set(oid.tar_all)
-    theta_ids = {tm.registry.theta_id(q) for q in range(1, oid.gamma + 1)}
-    for j, target in tm.targets.items():
+    theta_ids = {registry.theta_id(q) for q in range(1, oid.gamma + 1)}
+    for j, target in targets.items():
         b = oid.border[j - 1]
         deep = b.degree > sig.r
         for t, c in target.terms.items():
@@ -230,17 +216,13 @@ def _validate_targets(oid: OrderIdealData, tm: TargetMap) -> None:
     # the first back variable divides the target of each block top to the block's depth
     for e in range(0, sig.w + 1):
         top = _lead_block(oid, e)[0]
-        target = tm.targets[oid.index_of_border[top]]
-        for t in target.terms:
+        for t in targets[oid.index_of_border[top]].terms:
             if t.var_degree(sig.delta + 1) < e:
                 raise InternalInvariantError(
                     f"target of {top} violates the back-variable divisibility of its block"
                 )
 
 
-def render_targets(oid: OrderIdealData, tm: TargetMap) -> str:
+def render_targets(oid: OrderIdealData, targets: Dict[int, SpanElement]) -> str:
     """One line 'Upsilon(b[j]) = <polynomial>' per target, by border index."""
-    lines = []
-    for j in sorted(tm.targets):
-        lines.append(f"Upsilon(b[{j}]) = {tm.targets[j]}")
-    return "\n".join(lines)
+    return "\n".join(f"Upsilon(b[{j}]) = {targets[j]}" for j in sorted(targets))

@@ -1,22 +1,15 @@
-"""Monomials in x_1..x_n, the two term orders, and contiguous blocks of a degree slice.
+"""Monomials in x_1..x_n, the two term orders, and degree slices.
 
 Variables are 1-based and ordered x_1 > x_2 > ... > x_n.  Two orders are used
 throughout:
 
 * ``lex``: compare exponent vectors left to right.
 * ``negdeglex``: lower total degree first; within a degree, lex-greater first.
-
-A *block* (`SegmentSpec`) is the set of monomials of one degree, in the
-variables x_k..x_n, lying lex-between two bounds built from a weakly
-decreasing tuple of prefix exponents.  Blocks are contiguous in negdeglex and
-tile each degree slice; they are the combinatorial backbone of everything
-downstream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 
@@ -165,72 +158,6 @@ def monomials_of(n: int, k: int, d: int) -> list:
         raise ArgumentError(f"degree must be nonnegative, got {d}")
     prefix = (0,) * (k - 1)
     return [Monomial(prefix + tail) for tail in _exponents_desc(n - k + 1, d)]
-
-
-@dataclass(frozen=True)
-class SegmentSpec:
-    """Parameters of one contiguous block of a degree slice.
-
-    ``prefix_exponents`` is a weakly decreasing tuple (e_0, ..., e_q) of
-    integers with d >= e_0 and e_q >= 0; the block collects the degree-d
-    monomials in x_k..x_n lying lex-between the two completions of the prefix
-    x_k^(d-e_0) * x_(k+1)^(e_0-e_1) * ... * x_(k+q)^(e_(q-1)-e_q):
-    the upper bound appends x_(k+q+1)^(e_q), the lower bound appends x_n^(e_q).
-    """
-
-    n: int
-    k: int
-    d: int
-    prefix_exponents: tuple
-
-    def __post_init__(self):
-        e = self.prefix_exponents
-        if not 1 <= self.k <= self.n:
-            raise ArgumentError(f"variable range start {self.k} out of range 1..{self.n}")
-        if self.d < 0:
-            raise ArgumentError("degree must be nonnegative")
-        if not e:
-            raise ArgumentError("prefix exponent tuple must be nonempty")
-        if any(e[i] < e[i + 1] for i in range(len(e) - 1)):
-            raise ArgumentError(f"prefix exponents must be weakly decreasing: {e}")
-        if e[0] > self.d or e[-1] < 0:
-            raise ArgumentError(f"prefix exponents must satisfy {self.d} >= e_0 and e_q >= 0: {e}")
-        if self.k + len(e) > self.n:
-            raise ArgumentError(
-                f"prefix of length {len(e)} starting at x{self.k} does not fit in {self.n} variables"
-            )
-
-    def prefix(self) -> Monomial:
-        """The common prefix monomial of the block's bounds."""
-        e = self.prefix_exponents
-        exps = [0] * self.n
-        exps[self.k - 1] = self.d - e[0]
-        for i in range(1, len(e)):
-            exps[self.k - 1 + i] = e[i - 1] - e[i]
-        return Monomial(exps)
-
-    def upper_bound(self) -> Monomial:
-        return self.prefix().mul_var(self.k + len(self.prefix_exponents), self.prefix_exponents[-1]) \
-            if self.prefix_exponents[-1] else self.prefix()
-
-    def lower_bound(self) -> Monomial:
-        return self.prefix().mul_var(self.n, self.prefix_exponents[-1]) \
-            if self.prefix_exponents[-1] else self.prefix()
-
-
-def segment(spec: SegmentSpec) -> list:
-    """The monomials of a block, in negdeglex order (upper bound first).
-
-    >>> [str(m) for m in segment(SegmentSpec(4, 2, 2, (1,)))]
-    ['x2*x3', 'x2*x4']
-    """
-    hi = spec.upper_bound()
-    lo = spec.lower_bound()
-    return [
-        m
-        for m in monomials_of(spec.n, spec.k, spec.d)
-        if cmp_lex(lo, m) <= 0 and cmp_lex(m, hi) <= 0
-    ]
 
 
 def binomial(a: int, b: int) -> int:

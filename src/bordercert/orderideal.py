@@ -46,6 +46,9 @@ class Signature:
     w: int
 
     def __post_init__(self):
+        for name, value in zip(("n", "r", "s", "delta", "w"), self.as_tuple()):
+            if type(value) is not int:
+                raise ArgumentError(f"{name} must be an int, got {value!r}")
         if self.n < 2:
             raise ArgumentError(f"need at least two variables, got n={self.n}")
         if not 1 <= self.delta < self.n:

@@ -278,6 +278,15 @@ def exact_pivots_reference(rows):
     return [column_at[lead] for lead in leads]
 
 
+def lex_block(n, k, d, e):
+    """The degree-d monomials in x_k..x_n lying lex-between the two bounds
+    x_k^(d-e) * x_(k+1)^e (upper) and x_k^(d-e) * x_n^e (lower), in
+    negdeglex order: one block of the degree-d slice, found from its bounds."""
+    upper = Monomial.variable(n, k, d - e).mul_var(k + 1, e)
+    lower = Monomial.variable(n, k, d - e).mul_var(n, e)
+    return [m for m in monomials_of(n, k, d) if cmp_lex(lower, m) <= 0 <= cmp_lex(upper, m)]
+
+
 def deep_factorization_reference(oid, b):
     """(m', b_src) with m' the last back-variables divisor of the back part
     of b of degree deg(b) - r in negdeglex, found by listing every monomial

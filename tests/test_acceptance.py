@@ -25,7 +25,7 @@ from bordercert.borderbasis import (
 from bordercert.certify import certify, report_to_json_dict
 from bordercert.coeffring import CoeffPoly, IndeterminateRegistry
 from bordercert.modification import build_generic_modification, build_targets, render_targets
-from bordercert.monomial import Monomial, SegmentSpec, monomials_of, segment
+from bordercert.monomial import Monomial, monomials_of
 from bordercert.orderideal import Signature, build, gamma_formula, translation_frame
 from bordercert.tangent import (
     coordinate_labels,
@@ -40,6 +40,7 @@ from bordercert.tangent import (
 from helpers import (
     as_dense_row,
     fraction_rank,
+    lex_block,
     membership_rows,
     paper_table_signatures,
     small_signatures,
@@ -185,12 +186,8 @@ def _deep_pool_three_ways(sig):
         for m in monomials_of(n, delta, d)
         if m.var_degree(delta) == r - w
     }
-    blocks = {
-        m
-        for d in range(r + 1, s + 1)
-        for m in segment(SegmentSpec(n, delta, d, (w + d - r,)))
-    }
-    seed_block = segment(SegmentSpec(n, delta, r, (w,)))
+    blocks = {m for d in range(r + 1, s + 1) for m in lex_block(n, delta, d, w + d - r)}
+    seed_block = lex_block(n, delta, r, w)
     products = {
         mp.mul(b)
         for b in seed_block

@@ -15,6 +15,7 @@ from bordercert.borderbasis import SpanElement, generic_distinguished, is_border
 from bordercert.coeffring import CoeffPoly, IndeterminateRegistry
 from bordercert.modification import (
     _deep_factorization,
+    _lead_block,
     build_generic_modification,
     build_targets,
     install_targets,
@@ -25,7 +26,7 @@ from bordercert.modification import (
 )
 from bordercert.monomial import ArgumentError, Monomial
 from bordercert.orderideal import Signature, build
-from helpers import deep_factorization_reference, min_variable, small_signatures
+from helpers import deep_factorization_reference, lex_block, min_variable, small_signatures
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,12 +35,23 @@ def _theta(reg, q):
     return CoeffPoly.indeterminate(reg, reg.theta_id(q))
 
 
+def test_lead_blocks_tile_s_lead_in_order():
+    """Blocks 0..w of `oid.s_lead` are nonempty, equal the blocks found from
+    their lex bounds, and in that order are contiguous runs tiling s_lead."""
+    for sig in small_signatures(6, 6):
+        oid = build(sig)
+        blocks = [_lead_block(oid, e) for e in range(sig.w + 1)]
+        for e, block in enumerate(blocks):
+            assert block and block == lex_block(sig.n, sig.delta, sig.r, e), (sig, e)
+        assert [m for block in blocks for m in block] == list(oid.s_lead), sig
+
+
 def test_step1_seeds_the_top_block():
     oid = build(Signature(3, 4, 6, 2, 1))
-    tm = step1(oid)
-    reg = tm.registry
+    reg = IndeterminateRegistry(oid)
+    tm = step1(oid, reg)
     # the only degree-4 block with depth w=1 is the singleton {x2^3*x3}
-    assert set(tm.targets) == {12}
+    assert set(tm) == {12}
     expected = SpanElement(
         {
             Monomial((0, 2, 2)): _theta(reg, 1),
@@ -50,19 +62,18 @@ def test_step1_seeds_the_top_block():
             Monomial((0, 0, 5)): _theta(reg, 6),
         }
     )
-    assert tm.targets[12] == expected
-    assert tm.get(11) == SpanElement()
+    assert tm[12] == expected
 
 
 def test_step1_spreads_across_a_wider_block():
     # (5,2,3,3,0): the top degree-2 block is all of degree-2 in x3..x5
     oid = build(Signature(5, 2, 3, 3, 0))
-    tm = step1(oid)
-    indices = sorted(tm.targets)
+    reg = IndeterminateRegistry(oid)
+    tm = step1(oid, reg)
+    indices = sorted(tm)
     assert indices == [oid.index_of_border[m] for m in oid.s_lead]
     assert len(indices) == 1  # w=0: block {x3^2 >= m >= x3^2}
-    reg = tm.registry
-    seeded = tm.targets[oid.index_of_border[Monomial((0, 0, 2, 0, 0))]]
+    seeded = tm[oid.index_of_border[Monomial((0, 0, 2, 0, 0))]]
     assert seeded == SpanElement(
         {
             Monomial((0, 0, 1, 1, 0)): _theta(reg, 1),
@@ -76,10 +87,10 @@ def test_step1_spreads_across_a_wider_block():
 
 def test_step2_multiplies_and_truncates():
     oid = build(Signature(3, 4, 6, 2, 1))
-    tm = step2(oid, step1(oid))
-    reg = tm.registry
+    reg = IndeterminateRegistry(oid)
+    tm = step2(oid, step1(oid, reg))
     # b[20] = x2^3*x3^3 = x3^2 * b[12]; degree-7 products are dropped
-    assert tm.targets[20] == SpanElement(
+    assert tm[20] == SpanElement(
         {
             Monomial((0, 2, 4)): _theta(reg, 1),
             Monomial((0, 1, 5)): _theta(reg, 2),
@@ -87,23 +98,21 @@ def test_step2_multiplies_and_truncates():
         }
     )
     # b[16] = x2^3*x3^2 keeps all six shifted terms
-    assert len(tm.targets[16].terms) == 6
-    assert set(tm.targets) == {12, 16, 20}
+    assert len(tm[16].terms) == 6
+    assert set(tm) == {12, 16, 20}
 
 
 def test_step2_requires_step1():
     oid = build(Signature(3, 4, 6, 2, 1))
-    from bordercert.modification import TargetMap
-
     with pytest.raises(ArgumentError):
-        step2(oid, TargetMap(IndeterminateRegistry(oid), {}))
+        step2(oid, {})
 
 
 def test_step3_reduce_and_divide_golden():
     """The filled-in target of b[11] = x2^4 in the (3,4,6,2,1) system."""
     oid = build(Signature(3, 4, 6, 2, 1))
-    tm = step2(oid, step1(oid))
-    reg = tm.registry
+    reg = IndeterminateRegistry(oid)
+    tm = step2(oid, step1(oid, reg))
     sys_partial = install_targets(generic_distinguished(oid, reg), tm)
     tm = step3(oid, tm, sys_partial)
     t = [None] + [_theta(reg, q) for q in range(1, 7)]
@@ -118,24 +127,22 @@ def test_step3_reduce_and_divide_golden():
             Monomial((0, 0, 5)): -(t[1] * t[6]) - t[3] * t[4],
         }
     )
-    assert tm.targets[11] == expected
+    assert tm[11] == expected
 
 
 def test_step3_requires_earlier_steps():
     oid = build(Signature(3, 4, 6, 2, 1))
-    from bordercert.modification import TargetMap
-
     reg = IndeterminateRegistry(oid)
-    empty = TargetMap(reg, {})
     with pytest.raises(ArgumentError):
-        step3(oid, empty, generic_distinguished(oid, reg))
+        step3(oid, {}, generic_distinguished(oid, reg))
 
 
 def test_step3_is_a_no_op_for_zero_block_depth():
     oid = build(Signature(5, 2, 3, 3, 0))
-    tm = step2(oid, step1(oid))
-    sys_partial = install_targets(generic_distinguished(oid, tm.registry), tm)
-    assert step3(oid, tm, sys_partial).targets == tm.targets
+    reg = IndeterminateRegistry(oid)
+    tm = step2(oid, step1(oid, reg))
+    sys_partial = install_targets(generic_distinguished(oid, reg), tm)
+    assert step3(oid, tm, sys_partial) == tm
 
 
 def test_deep_factorization_is_choice_independent():
@@ -147,12 +154,12 @@ def test_deep_factorization_is_choice_independent():
         top_block = [m for m in oid.s_lead if m.var_degree(sig.delta) == sig.r - sig.w]
         checked = 0
         for b in oid.s_deep:
-            target = tm.targets[oid.index_of_border[b]]
+            target = tm[oid.index_of_border[b]]
             for src in top_block:
                 m_prime = b.try_div(src)
                 if m_prime is None or min_variable(m_prime) <= sig.delta:
                     continue
-                shifted = tm.targets[oid.index_of_border[src]].monomial_multiple(m_prime)
+                shifted = tm[oid.index_of_border[src]].monomial_multiple(m_prime)
                 truncated = SpanElement(
                     {t: c for t, c in shifted.terms.items() if t.degree <= sig.s}
                 )
@@ -184,11 +191,11 @@ def test_deep_targets_transport_along_paths():
             top = block[0]
             for b in block[1:]:
                 moved = {}
-                for t, c in tm.targets[oid.index_of_border[top]].terms.items():
+                for t, c in tm[oid.index_of_border[top]].terms.items():
                     q = t.mul(b).try_div(top)
                     assert q is not None
                     moved[q] = c
-                assert SpanElement(moved) == tm.targets[oid.index_of_border[b]]
+                assert SpanElement(moved) == tm[oid.index_of_border[b]]
 
 
 def test_target_invariants_across_grid():
@@ -199,20 +206,21 @@ def test_target_invariants_across_grid():
     ][::3] + [Signature(5, 2, 3, 3, 0), Signature(5, 2, 3, 3, 1)]
     for sig in sample:
         oid = build(sig)
-        tm = build_targets(oid)  # internal validation runs here
+        reg = IndeterminateRegistry(oid)
+        tm = build_targets(oid, reg)  # internal validation runs here
         targeted = {oid.index_of_border[m] for m in oid.s_lead}
         targeted |= {oid.index_of_border[m] for m in oid.s_deep}
-        assert set(tm.targets) == targeted
+        assert set(tm) == targeted
         pool_prime = set(oid.tar_prime)
         for m in oid.s_lead:
-            target = tm.targets[oid.index_of_border[m]]
+            target = tm[oid.index_of_border[m]]
             for t, c in target.terms.items():
                 assert t in pool_prime
                 assert c.indeterminates() <= {
-                    tm.registry.theta_id(q) for q in range(1, oid.gamma + 1)
+                    reg.theta_id(q) for q in range(1, oid.gamma + 1)
                 }
         for m in oid.s_deep:
-            target = tm.targets[oid.index_of_border[m]]
+            target = tm[oid.index_of_border[m]]
             for t in target.terms:
                 assert m.degree <= t.degree <= sig.s
                 assert t in set(oid.tar_all)
@@ -225,7 +233,7 @@ def test_block_depth_divisibility():
     tm = build_targets(oid)
     for m in oid.s_lead:
         e = sig.r - m.var_degree(sig.delta)  # depth of the block m heads
-        target = tm.targets[oid.index_of_border[m]]
+        target = tm[oid.index_of_border[m]]
         for t in target.terms:
             assert t.var_degree(sig.delta + 1) >= e
 
@@ -246,7 +254,7 @@ def test_modified_system_tail_shape():
         assert str(tail12[i]) == f"C[{i},12]"
     # a deep generator is not a leading one: pure minus-target tail
     tail16 = sys.tail(16)
-    deep_target = tm.targets[16]
+    deep_target = tm[16]
     assert set(tail16) == {oid.index_of_basis[t] for t in deep_target.terms}
     for t, c in deep_target.terms.items():
         assert tail16[oid.index_of_basis[t]] == -c

@@ -1,4 +1,4 @@
-"""Monomial arithmetic, the two term orders, degree slices, and blocks."""
+"""Monomial arithmetic, the two term orders, and degree slices."""
 
 from __future__ import annotations
 
@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 from bordercert.monomial import (
     ArgumentError,
     Monomial,
-    SegmentSpec,
     binomial,
     cmp_lex,
     monomials_of,
     negdeglex_key,
-    segment,
 )
 from helpers import cmp_negdeglex, count_monomials, lex_key, min_variable
 
@@ -126,77 +124,6 @@ def test_monomials_of_is_sorted_and_complete():
         for m in ms:
             assert m.degree == d
             assert all(e == 0 for e in m.exps[: k - 1])
-
-
-# -------------------------------------------------------------------- blocks
-
-
-def brute_force_segment(spec: SegmentSpec):
-    """Independent re-derivation from the exponent pattern, not the lex bounds.
-
-    A block member must carry exactly the prefix exponents on
-    x_k..x_(k+q) — namely d-e_0, e_0-e_1, ..., e_(q-1)-e_q — and distribute
-    the remaining degree e_q freely over the later variables.
-    """
-    e = spec.prefix_exponents
-    want = [spec.d - e[0]] + [e[i - 1] - e[i] for i in range(1, len(e))]
-    out = []
-    for m in sorted(monomials_of(spec.n, spec.k, spec.d), key=negdeglex_key):
-        if all(m.var_degree(spec.k + i) == want[i] for i in range(len(want))):
-            out.append(m)
-    return out
-
-
-def test_segment_examples():
-    assert strs(segment(SegmentSpec(4, 2, 2, (1,)))) == ["x2*x3", "x2*x4"]
-    assert strs(segment(SegmentSpec(3, 2, 4, (1,)))) == ["x2^3*x3"]
-    # the top block of a slice is the whole slice one variable later
-    assert segment(SegmentSpec(4, 2, 3, (3,))) == monomials_of(4, 3, 3)
-
-
-def test_segment_matches_brute_force():
-    for n, k, d in product(range(2, 5), range(1, 4), range(1, 5)):
-        if k >= n:
-            continue
-        for e0 in range(0, d + 1):
-            spec = SegmentSpec(n, k, d, (e0,))
-            assert segment(spec) == brute_force_segment(spec)
-        if k + 2 <= n:
-            for e0 in range(0, d + 1):
-                for e1 in range(0, e0 + 1):
-                    spec = SegmentSpec(n, k, d, (e0, e1))
-                    assert segment(spec) == brute_force_segment(spec)
-
-
-def test_segments_tile_each_slice():
-    for n, k, d in product(range(2, 6), range(1, 5), range(1, 5)):
-        if k >= n:
-            continue
-        tiled = [m for e in range(0, d + 1) for m in segment(SegmentSpec(n, k, d, (e,)))]
-        assert tiled == monomials_of(n, k, d)
-
-
-def test_segments_are_contiguous_in_negdeglex():
-    for n, k, d in product(range(2, 5), range(1, 4), range(2, 6)):
-        if k >= n:
-            continue
-        slice_ms = monomials_of(n, k, d)
-        pos = {m: i for i, m in enumerate(slice_ms)}
-        for e in range(0, d + 1):
-            seg = segment(SegmentSpec(n, k, d, (e,)))
-            positions = [pos[m] for m in seg]
-            assert positions == list(range(positions[0], positions[0] + len(seg)))
-
-
-def test_segment_spec_validation():
-    with pytest.raises(ArgumentError):
-        SegmentSpec(3, 2, 2, (1, 2))  # increasing prefix exponents
-    with pytest.raises(ArgumentError):
-        SegmentSpec(3, 2, 2, (3,))  # e_0 > d
-    with pytest.raises(ArgumentError):
-        SegmentSpec(3, 3, 2, (1,))  # prefix does not fit
-    with pytest.raises(ArgumentError):
-        SegmentSpec(3, 2, 2, ())
 
 
 # ------------------------------------------------------------------ binomial

@@ -7,11 +7,9 @@ import pytest
 from bordercert.monomial import (
     ArgumentError,
     Monomial,
-    SegmentSpec,
     binomial,
     monomials_of,
     negdeglex_key,
-    segment,
 )
 from bordercert.orderideal import (
     NeighborPair,
@@ -22,7 +20,7 @@ from bordercert.orderideal import (
     translation_frame,
 )
 
-from helpers import basis_of_degree, paper_table_signatures, small_signatures
+from helpers import basis_of_degree, lex_block, paper_table_signatures, small_signatures
 
 
 def strs(ms):
@@ -47,6 +45,15 @@ def test_signature_validation():
         Signature(4, 3, 3, 2, 0)  # s > r
     with pytest.raises(ArgumentError):
         Signature(4, 3, 4, 2, 3)  # w <= r-1
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [(5, 2, 3, 3, 0.5), (5.0, 2, 3, 3, 0), (5, 2, 3, "3", 0), (5, True, 3, 3, 0), (5, 2, 3, 3, None)],
+)
+def test_signature_rejects_non_integers(fields):
+    with pytest.raises(ArgumentError, match="must be an int"):
+        Signature(*fields)
 
 
 def test_build_4_3_4_2_1():
@@ -151,7 +158,7 @@ def test_degree_slices_match_block_unions():
             blocks = [
                 m
                 for e in range(d - sig.r + sig.w + 1, d + 1)
-                for m in segment(SegmentSpec(sig.n, sig.delta, d, (e,)))
+                for m in lex_block(sig.n, sig.delta, d, e)
             ]
             assert list(basis_of_degree(oid, d)) == blocks
 
@@ -187,9 +194,9 @@ def test_deep_target_triple_characterization():
         by_blocks = {
             m
             for d in range(r + 1, s + 1)
-            for m in segment(SegmentSpec(n, delta, d, (w + d - r,)))
+            for m in lex_block(n, delta, d, w + d - r)
         }
-        lead_block = segment(SegmentSpec(n, delta, r, (w,)))
+        lead_block = lex_block(n, delta, r, w)
         by_products = {
             m.mul(b)
             for b in lead_block
@@ -205,7 +212,7 @@ def test_lead_targets_are_the_lead_blocks():
         blocks = [
             m
             for e in range(0, sig.w + 1)
-            for m in segment(SegmentSpec(sig.n, sig.delta, sig.r, (e,)))
+            for m in lex_block(sig.n, sig.delta, sig.r, e)
         ]
         assert list(oid.s_lead) == blocks
 

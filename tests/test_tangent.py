@@ -16,7 +16,7 @@ from bordercert.borderbasis import (
     specialize_system,
 )
 from bordercert.coeffring import CoeffPoly, IndeterminateRegistry
-from bordercert.linalg import PRIME, _exact_pivots, modp_rank, rank_of
+from bordercert.linalg import PRIME, _exact_pivots, dedupe_rows, exact_rank, modp_rank, rank_of
 from bordercert.modification import build_generic_modification
 from bordercert.monomial import ArgumentError
 from bordercert.orderideal import Signature, build, translation_frame
@@ -112,6 +112,17 @@ def test_tangent_equations_are_ranked_by_column(monkeypatch):
     assert 0 < len(seen) <= oid.mu * oid.nu < n_equations
     assert all(vec for vec in seen)
     assert all(0 <= eq < n_equations and v for vec in seen for eq, v in vec.items())
+
+
+def test_dedupe_rows_drops_repeated_tangent_columns():
+    """Tangent columns can repeat: at (3,2,3,2,0), seed 1, those of a_{7,7}
+    and a_{8,7} are multiples of earlier ones.  Dropping them keeps the rank
+    of the raw columns in both fields."""
+    oid, spec = _modified_specialized(Signature(3, 2, 3, 2, 0), seed=1)
+    cols = [vec for vec in checked_columns(spec) if vec]
+    assert len(dedupe_rows(cols)) < len(cols)
+    assert rank_of(cols, "exact") == exact_rank(cols) == 72
+    assert rank_of(cols, "prime") == modp_rank(cols, PRIME) == 72
 
 
 def test_prime_field_agrees_with_exact():
