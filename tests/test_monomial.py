@@ -17,7 +17,7 @@ from bordercert.monomial import (
     monomials_of,
     negdeglex_key,
 )
-from helpers import cmp_negdeglex, count_monomials, lex_key, min_variable
+from helpers import cmp_negdeglex, count_monomials, lex_block, lex_key, min_variable
 
 
 def mono(*exps):
@@ -124,6 +124,29 @@ def test_monomials_of_is_sorted_and_complete():
         for m in ms:
             assert m.degree == d
             assert all(e == 0 for e in m.exps[: k - 1])
+
+
+def test_segments_tile_each_slice():
+    """The blocks of a degree slice found from their lex bounds, taken for
+    x_k exponents d, d-1, ..., 0, tile the slice in negdeglex order."""
+    for n, k, d in product(range(2, 6), range(1, 5), range(1, 5)):
+        if k >= n:
+            continue
+        tiled = [m for e in range(0, d + 1) for m in lex_block(n, k, d, e)]
+        assert tiled == monomials_of(n, k, d)
+
+
+def test_segments_are_contiguous_in_negdeglex():
+    for n, k, d in product(range(2, 5), range(1, 4), range(2, 6)):
+        if k >= n:
+            continue
+        slice_ms = monomials_of(n, k, d)
+        pos = {m: i for i, m in enumerate(slice_ms)}
+        for e in range(0, d + 1):
+            block = lex_block(n, k, d, e)
+            assert all(m.exps[k - 1] == d - e for m in block)
+            positions = [pos[m] for m in block]
+            assert positions == list(range(positions[0], positions[0] + len(block)))
 
 
 # ------------------------------------------------------------------ binomial
