@@ -4,7 +4,8 @@ Subcommands: inspect, modify, verify, tangent, certify, batch.  Each handler
 reads the parsed arguments directly; argparse checks the flags, `certify`
 checks its own arguments.  Exit codes: 0 success, 2 argument error, 3
 inconclusive certification or failed verification, 4 internal invariant
-violation (for `batch`, on any line).
+violation (for `batch`, on any line).  `batch` ends with a count of each
+verdict and of error lines on stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Tuple
 
@@ -209,6 +211,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 results = list(pool.map(run_line, lines))
         for payload, _ in results:
             out.write(json.dumps(payload) + "\n")
+    verdicts = Counter(payload.get("verdict") for payload, _ in results)
+    errors = verdicts.pop(None, 0)
+    for verdict, count in verdicts.items():
+        print(f"verdict {verdict}: {count}", file=sys.stderr)
+    print(f"error lines: {errors}", file=sys.stderr)
     return EXIT_INTERNAL if any(internal for _, internal in results) else EXIT_OK
 
 

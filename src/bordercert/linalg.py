@@ -9,16 +9,23 @@ pass whenever the lead is -1 or 1.  After each step the row is divided by
 its content, the gcd of all its entries taken in one `math.gcd` call, so
 no rounding can occur anywhere and entries stay small.  Prime mode reduces
 the entries modulo the fixed prime `PRIME` and uses ordinary elimination,
-each pivot kept unscaled beside the inverse of its lead.  `PRIME` is below
-2^30, so every residue is a one-digit CPython int.  `modp_rank` can stop as
-soon as a wanted rank is out of reach.  Both kernels take rows shortest
-first and pivot columns sparsest first, which limits fill-in.  Each kernel
-reduces a working row in place, scaling included, a fresh dict built from
-the input row, so the caller's rows are never touched.  The row's lead
-comes from a heap of its columns: a column that cancels stays in the heap
-and is skipped when popped, and only fill-in columns are pushed.  A row
-that becomes a pivot is stored as a compact copy.  Rank is invariant under
-transposition, so a caller may pass the columns of a tall matrix as rows.
+each pivot kept unscaled beside the inverse of its lead.  Its working row
+is reduced lazily: a pivot is applied by adding a residue multiple of it,
+with no reduction, and an entry is reduced only where it is read, as the
+lead or when the row becomes a pivot.  Stored pivots are residues, and
+`PRIME` is below 2^30, so each is a one-digit CPython int and each product
+of two residues is below 2^60.  `modp_rank` can stop as soon as a wanted
+rank is out of reach.  Both kernels take rows shortest first and pivot
+columns sparsest first, which limits fill-in.  Each kernel reduces a
+working row in place, scaling included, a fresh dict built from the input
+row, so the caller's rows are never touched.  The row's lead comes from a
+heap of its columns; only fill-in columns are pushed.  In the exact kernel
+a column that cancels stays in the heap and is skipped when popped; in
+prime mode an entry leaves the row only as a popped lead, and one that is
+0 mod p is skipped.  A row that becomes a pivot is stored as a compact
+copy, in prime mode reduced and without its lead.  Rank is invariant
+under transposition, so a caller may pass the columns of a tall matrix as
+rows.
 """
 
 from __future__ import annotations
@@ -121,9 +128,9 @@ def modp_rank(rows: Iterable[SparseRow], prime: int, at_least: int = 0) -> int:
     rows = sorted(rows, key=len)
     spare = len(rows) - at_least  # rows that may still reduce to zero
     pos = _by_column_count(rows)
-    # A pivot is stored as it stands, with the inverse of its lead: scaling
-    # it to lead 1 would turn nearly every small entry into a residue near
-    # `prime`.
+    # A pivot is stored without its lead, beside the inverse of the lead:
+    # scaling it to lead 1 would turn nearly every small entry into a
+    # residue near `prime`.
     pivots: Dict[int, Tuple[Dict[int, int], int]] = {}
     rank = 0
     for raw in rows:
@@ -132,31 +139,34 @@ def modp_rank(rows: Iterable[SparseRow], prime: int, at_least: int = 0) -> int:
             n = v % prime
             if n:
                 row[pos[c]] = n
+        # The heap holds exactly the row's columns: an entry leaves the row
+        # only when it is popped as the lead.
         heap = list(row)
         heapify(heap)
         while heap:
             lead = heappop(heap)
-            rl = row.get(lead)
-            if rl is None:  # cancelled since it was pushed
+            rl = row.pop(lead) % prime
+            if not rl:  # cancelled mod p
                 continue
             found = pivots.get(lead)
             if found is None:
-                pivots[lead] = (dict(row), pow(rl, -1, prime))
+                rest = {}
+                for c, v in row.items():
+                    v %= prime
+                    if v:
+                        rest[c] = v
+                pivots[lead] = (rest, pow(rl, -1, prime))
                 rank += 1
                 break
-            pivot, inv = found
-            rl = rl * inv % prime
-            for c, v in pivot.items():
+            rest, inv = found
+            m = prime - rl * inv % prime  # adding m times the pivot cancels the lead
+            for c, v in rest.items():
                 n = row.get(c)
                 if n is None:
-                    row[c] = -v * rl % prime
+                    row[c] = v * m
                     heappush(heap, c)
                 else:
-                    n = (n - v * rl) % prime
-                    if n:
-                        row[c] = n
-                    else:
-                        del row[c]
+                    row[c] = n + v * m
         else:  # the row reduced to zero
             spare -= 1
             if spare < 0:

@@ -107,29 +107,37 @@ def _tangent_columns(sys: BorderSystem) -> List[Dict[int, int]]:
         for row in oid.products
     ]
 
-    def add(vec: Dict[int, int], eq: int, c: int) -> None:
-        v = vec.get(eq)
-        v = c if v is None else v + c
-        if v:
-            vec[eq] = v
-        else:
-            vec.pop(eq, None)
-
+    # Equations mu*p .. mu*p + mu - 1 belong to pair p alone, and the loops
+    # over i write disjoint columns, so every entry they write is new and
+    # nonzero (tails omit zeros).  A border code of the S-polynomial, whose
+    # coefficients are nonzero too, adds onto them only if it is b_j1 or
+    # b_j2.
     for p, (pair, codes) in enumerate(sys.pair_codes()):
         base = mu * p - 1
         j1, j2, alpha, beta = pair
+        first1, first2 = _column(mu, 1, j1) - 1, _column(mu, 1, j2) - 1
         for i in range(1, mu + 1):
-            vec = cols[_column(mu, i, j1)]
+            vec = cols[first1 + i]
             for k, c in normal_forms[i][alpha]:
-                add(vec, base + k, -c)
-            vec = cols[_column(mu, i, j2)]
+                vec[base + k] = -c
+            vec = cols[first2 + i]
             for k, c in normal_forms[i][beta]:
-                add(vec, base + k, c)
+                vec[base + k] = c
         for code, c in codes.items():
             if code > 0:
                 continue
+            first = _column(mu, 1, -code) - 1
+            if -code != j1 and -code != j2:
+                for k in range(1, mu + 1):
+                    cols[first + k][base + k] = c
+                continue
             for k in range(1, mu + 1):
-                add(cols[_column(mu, k, -code)], base + k, c)
+                vec = cols[first + k]
+                v = vec.get(base + k, 0) + c
+                if v:
+                    vec[base + k] = v
+                else:
+                    del vec[base + k]
     return cols
 
 

@@ -278,6 +278,96 @@ def exact_pivots_reference(rows):
     return [column_at[lead] for lead in leads]
 
 
+def modp_rank_reference(rows, prime, at_least=0):
+    """Rank mod `prime` by the kernel `linalg.modp_rank` replaced: it reduces
+    every fused update mod `prime` at once, deletes each entry that cancels
+    and stores a pivot with its lead.  `linalg` must return the same value
+    for every `at_least`."""
+    rows = sorted(rows, key=len)
+    spare = len(rows) - at_least
+    pos = _by_column_count(rows)
+    pivots = {}
+    rank = 0
+    for raw in rows:
+        row = {}
+        for c, v in raw.items():
+            n = v % prime
+            if n:
+                row[pos[c]] = n
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            lead = heappop(heap)
+            rl = row.get(lead)
+            if rl is None:
+                continue
+            found = pivots.get(lead)
+            if found is None:
+                pivots[lead] = (dict(row), pow(rl, -1, prime))
+                rank += 1
+                break
+            pivot, inv = found
+            rl = rl * inv % prime
+            for c, v in pivot.items():
+                n = row.get(c)
+                if n is None:
+                    row[c] = -v * rl % prime
+                    heappush(heap, c)
+                else:
+                    n = (n - v * rl) % prime
+                    if n:
+                        row[c] = n
+                    else:
+                        del row[c]
+        else:
+            spare -= 1
+            if spare < 0:
+                break
+    return rank
+
+
+def tangent_columns_reference(sys):
+    """The tangent equations held by column, assembled through an `add`
+    helper on every entry; the form `tangent._tangent_columns` had before it
+    was inlined, kept as its reference."""
+    oid = sys.oid
+    mu = oid.mu
+    cols = [dict() for _ in range(mu * oid.nu)]
+    tails = sys.tails
+    normal_forms = [
+        [((code, 1),) if code > 0 else tuple(tails[-code - 1].items()) for code in row]
+        for row in oid.products
+    ]
+
+    def column(i, j):
+        return (j - 1) * mu + (i - 1)
+
+    def add(vec, eq, c):
+        v = vec.get(eq)
+        v = c if v is None else v + c
+        if v:
+            vec[eq] = v
+        else:
+            vec.pop(eq, None)
+
+    for p, (pair, codes) in enumerate(sys.pair_codes()):
+        base = mu * p - 1
+        j1, j2, alpha, beta = pair
+        for i in range(1, mu + 1):
+            vec = cols[column(i, j1)]
+            for k, c in normal_forms[i][alpha]:
+                add(vec, base + k, -c)
+            vec = cols[column(i, j2)]
+            for k, c in normal_forms[i][beta]:
+                add(vec, base + k, c)
+        for code, c in codes.items():
+            if code > 0:
+                continue
+            for k in range(1, mu + 1):
+                add(cols[column(k, -code)], base + k, c)
+    return cols
+
+
 def lex_block(n, k, d, e):
     """The degree-d monomials in x_k..x_n lying lex-between the two bounds
     x_k^(d-e) * x_(k+1)^e (upper) and x_k^(d-e) * x_n^e (lower), in

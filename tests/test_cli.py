@@ -207,9 +207,12 @@ def test_prime_flag_is_rejected(capsys, tmp_path):
 # batch
 
 
+MIXED_BATCH = "# comment\n5,2,3,3,1\n0,0,0,0,0\n\n5,2,3,3,1\n"
+
+
 def test_batch_preserves_order_and_isolates_failures(capsys, tmp_path):
     batch_file = tmp_path / "sigs.txt"
-    batch_file.write_text("# comment\n5,2,3,3,1\n0,0,0,0,0\n\n5,2,3,3,1\n")
+    batch_file.write_text(MIXED_BATCH)
     out_file = tmp_path / "reports.jsonl"
     code, _, _ = run(
         [
@@ -233,6 +236,23 @@ def test_batch_preserves_order_and_isolates_failures(capsys, tmp_path):
     assert lines[1]["signature"] == "0,0,0,0,0"
     assert "ArgumentError" in lines[1]["error"]
     assert lines[2] == lines[0]
+
+
+def test_batch_summary_goes_to_stderr_only(capsys, tmp_path):
+    batch_file = tmp_path / "sigs.txt"
+    batch_file.write_text(MIXED_BATCH)
+    flags = ["--trials", "1", "--jobs", "1", "--no-timings"]
+    code, out, err = run(["batch", str(batch_file), *flags], capsys)
+    assert code == 0
+    summary = ["verdict ELEMENTARY_CERTIFIED: 2", "error lines: 1"]
+    assert err.splitlines() == summary
+    out_file = tmp_path / "reports.jsonl"
+    code, json_out, err = run(["batch", str(batch_file), *flags, "--json", str(out_file)], capsys)
+    assert (code, json_out, err.splitlines()) == (0, "", summary)
+    # the summary leaves the JSON lines as they were, on stdout and in the file
+    assert out == out_file.read_text()
+    lines = [json.loads(ln) for ln in out.splitlines()]
+    assert [ln.get("verdict") for ln in lines] == ["ELEMENTARY_CERTIFIED", None, "ELEMENTARY_CERTIFIED"]
 
 
 def test_batch_parallel_matches_serial(capsys, tmp_path):

@@ -21,7 +21,13 @@ from bordercert.linalg import (
 )
 from bordercert.monomial import ArgumentError
 
-from helpers import dedupe_rows_reference, dense_modp_rank, exact_pivots_reference, fraction_rank
+from helpers import (
+    dedupe_rows_reference,
+    dense_modp_rank,
+    exact_pivots_reference,
+    fraction_rank,
+    modp_rank_reference,
+)
 
 
 def _dense_to_sparse(matrix):
@@ -68,6 +74,19 @@ def _lifted_low_rank_matrix(rng):
 
 lifted_matrix_strategy = st.integers(min_value=0, max_value=10_000).map(
     lambda seed: _lifted_low_rank_matrix(random.Random(seed))
+)
+
+
+def _huge_entry_matrix(rng):
+    """Sparse rows whose nonzero entries are +-2^62 plus -3, -2, 0 or 1, so
+    their residues mod `PRIME` repeat and cancel."""
+    shape = rng.randint(1, 10), rng.randint(1, 10)
+    matrix = _random_matrix(rng, *shape, density=0.4, bound=2)
+    return [[v and rng.choice((1, -1)) * 2**62 + v - 1 for v in row] for row in matrix]
+
+
+huge_entry_matrix_strategy = st.integers(min_value=0, max_value=10_000).map(
+    lambda seed: _huge_entry_matrix(random.Random(seed))
 )
 
 
@@ -138,6 +157,28 @@ def test_modp_rank_stops_only_below_at_least(matrix, at_least):
         assert got == rank
     else:
         assert got <= rank < at_least
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(lifted_matrix_strategy, huge_entry_matrix_strategy))
+def test_modp_rank_matches_the_reference_kernel(matrix):
+    # the reference reduces every update at once; the kernel only where it
+    # reads a residue, so both see the same row mod p at every step
+    sparse = _dense_to_sparse(matrix)
+    for at_least in range(16):
+        assert modp_rank(sparse, PRIME, at_least) == modp_rank_reference(sparse, PRIME, at_least)
+
+
+@pytest.mark.parametrize(
+    "rows, rank",
+    [([{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1, 2: 2}], 2), ([{0: 1, 1: 2}, {0: 1, 1: 2}], 1)],
+)
+def test_modp_rank_skips_a_lead_that_cancelled_mod_p(rows, rank):
+    # Reducing the second row by the first leaves a multiple of PRIME, not
+    # 0, on column 1, which is then popped as the lead and skipped.
+    for at_least in (0, 1, 2):
+        assert modp_rank(rows, PRIME, at_least) == modp_rank_reference(rows, PRIME, at_least)
+    assert modp_rank(rows, PRIME) == rank
 
 
 def test_modp_rank_gives_up_once_the_target_is_out_of_reach():

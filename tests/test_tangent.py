@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bordercert.borderbasis import (
+    RATIONAL_RING,
+    BorderSystem,
     SpanElement,
     generic_distinguished,
     is_border_basis,
@@ -37,9 +39,11 @@ from bordercert.tangent import (
 from helpers import (
     exact_pivots_reference,
     hom_tangent_oracle,
+    modp_rank_reference,
     paper_table_signatures,
     perturbed,
     small_signatures,
+    tangent_columns_reference,
 )
 
 
@@ -464,7 +468,63 @@ def test_independence_rank_small_case():
 
 
 # ---------------------------------------------------------------------------
-# the exact kernel on tangent columns
+# tangent assembly
+
+
+def _column_items(cols):
+    return [list(vec.items()) for vec in cols]
+
+
+def test_tangent_columns_match_the_reference_assembler():
+    checked = 0
+    for sig in small_signatures(4, 4):
+        _, spec = _modified_specialized(sig)
+        if not is_border_basis(spec)[0]:
+            continue
+        checked += 1
+        assert _column_items(_tangent_columns(spec)) == _column_items(tangent_columns_reference(spec))
+    assert checked > 0
+
+
+def test_tangent_columns_where_a_border_code_meets_its_own_pair():
+    # At (2,2,3,1,0), t_6 * x_2 = b_4 and pair (3, 4, 2, 1) pairs x_2*b_3
+    # with x_1*b_4, so a t_6 term in the tail of b_3 puts the border code of
+    # b_4 into the pair's S-polynomial, onto entries the pair itself wrote;
+    # with t_k * x_1 = b_j and 5*t_k in the tail of b_j one of them cancels.
+    # These tails make no border basis, but the assembly is defined on any.
+    oid = build(Signature(2, 2, 3, 1, 0))
+    assert (3, 4, 2, 1) in oid.neighbor_pairs and oid.products[6][2] == -4
+    for k in range(1, oid.mu + 1):
+        code = oid.products[k][1]
+        if code > 0:
+            continue
+        for y in (5, -5):
+            tails = [{} for _ in range(oid.nu)]
+            tails[2][6] = 5
+            tails[-code - 1][k] = y
+            system = BorderSystem(oid, tails, RATIONAL_RING)
+            assert _column_items(_tangent_columns(system)) == _column_items(
+                tangent_columns_reference(system)
+            )
+
+
+# ---------------------------------------------------------------------------
+# the rank kernels on tangent columns
+
+
+@pytest.mark.parametrize(
+    "sig, at_least, rank",
+    [((5, 2, 3, 3, 0), 0, 778), ((3, 4, 6, 2, 1), 0, 654), ((3, 4, 6, 2, 1), 733, None)],
+)
+def test_modp_rank_on_tangent_columns_matches_the_reference_kernel(sig, at_least, rank):
+    _, spec = _modified_specialized(Signature(*sig))
+    cols = [vec for vec in _tangent_columns(spec) if vec]
+    got = modp_rank(cols, PRIME, at_least)
+    assert got == modp_rank_reference(cols, PRIME, at_least)
+    if rank is None:  # 733 is out of reach of the rank 654, so it stops early
+        assert got < 654
+    else:
+        assert got == rank
 
 
 @pytest.mark.parametrize(
