@@ -130,7 +130,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     if args.verbose > 0:
         print(f"basis      {', '.join(info['basis'])}")
         print(f"border     {', '.join(info['border'])}")
-        print(f"anchors    {', '.join(info['translationAnchors'])}")
+        print(f"anchors    {', '.join(info['translationAnchors'].values())}")
     return EXIT_OK
 
 

@@ -50,7 +50,7 @@ from .borderbasis import (
     specialize_system,
 )
 from .coeffring import IndeterminateRegistry, _integer_assignment
-from .linalg import PRIME, check_field, modp_rank, rank_of
+from .linalg import check_field, modp_rank, rank_of
 from .monomial import ArgumentError, InternalInvariantError
 from .orderideal import OrderIdealData, TranslationFrame, translation_frame
 
@@ -320,7 +320,7 @@ def witness_certificate(
     oid = spec.oid
     family = dim_U(oid)
     target = oid.mu * oid.nu - family
-    if modp_rank([vec for vec in columns if vec], PRIME, target) != target:
+    if modp_rank([vec for vec in columns if vec], target) != target:
         return False
     point = _point_at(sys_generic, _integer_assignment(sys_generic.ring.registry, assignment), spec)
     tuples = [
@@ -334,4 +334,4 @@ def witness_certificate(
                 image[eq] = image.get(eq, 0) + a * c
         if any(image.values()):
             return False
-    return modp_rank(tuples, PRIME, family) == family
+    return modp_rank(tuples, family) == family

@@ -8,7 +8,7 @@ from heapq import heapify, heappop, heappush
 
 from bordercert import Signature
 from bordercert.borderbasis import BorderSystem
-from bordercert.linalg import PRIME, _by_column_count
+from bordercert.linalg import _by_column_count
 from bordercert.monomial import InternalInvariantError, Monomial, cmp_lex, monomials_of
 
 
@@ -209,28 +209,6 @@ def _strip_content(row):
         if common == 1:
             return row
     return {c: n // common for c, n in row.items()} if common > 1 else row
-
-
-def dedupe_rows_reference(rows):
-    """Empty rows and rational multiples of an earlier row dropped, each row
-    keyed with its content stripped, its first entry made positive and a
-    flag for content divisible by `PRIME`; the rule `linalg.dedupe_rows`
-    must keep to."""
-    seen = set()
-    out = []
-    for row in rows:
-        items = sorted((c, n) for c, n in _strip_content(row).items() if n)
-        if not items:
-            continue
-        c0, n0 = items[0]
-        sign = 1 if n0 > 0 else -1
-        vanishes = row[c0] // n0 % PRIME == 0
-        key = (vanishes, tuple((c, sign * n) for c, n in items))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(row)
-    return out
 
 
 def exact_pivots_reference(rows):

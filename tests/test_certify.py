@@ -181,12 +181,12 @@ def test_one_symbolic_check_and_one_check_per_trial_point(monkeypatch):
 
 def test_prime_mode_ranks_modulo_the_fixed_prime(monkeypatch):
     linalg = importlib.import_module("bordercert.linalg")
-    moduli = []
+    calls = []
     real = linalg.modp_rank
 
-    def recorded(rows, prime):
-        moduli.append(prime)
-        return real(rows, prime)
+    def recorded(rows):
+        calls.append(len(rows))
+        return real(rows)
 
     def never(rows):
         raise AssertionError("prime mode took an exact rank")
@@ -195,7 +195,7 @@ def test_prime_mode_ranks_modulo_the_fixed_prime(monkeypatch):
     monkeypatch.setattr(linalg, "exact_rank", never)
     report = certify(Signature(5, 2, 3, 3, 1), trials=1, field_kind="prime")
     assert [t["tangentDim"] for t in report.trials] == [59]
-    assert moduli and set(moduli) == {PRIME}
+    assert len(calls) == 1
 
 
 def _certificate_line(seed, dim_u, mu_nu):

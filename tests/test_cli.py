@@ -50,6 +50,7 @@ def test_bad_field_and_trials_are_argument_errors(capsys, tmp_path):
 def test_verbose_is_an_inspect_flag(capsys):
     code, out, _ = run(["inspect", "--signature", "5,2,3,3,1", "-v"], capsys)
     assert code == 0 and "basis " in out
+    assert "anchors    x1*x5, x2*x5, x3*x5^3, x4*x5^3, x5^4" in out.splitlines()
     assert run(["certify", "--signature", "5,2,3,3,1", "-v"], capsys)[0] == 2
 
 

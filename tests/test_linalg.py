@@ -22,7 +22,6 @@ from bordercert.linalg import (
 from bordercert.monomial import ArgumentError
 
 from helpers import (
-    dedupe_rows_reference,
     dense_modp_rank,
     exact_pivots_reference,
     fraction_rank,
@@ -107,7 +106,7 @@ def test_modp_rank_matches_exact_on_small_entries(matrix):
     # entries and dimensions are small enough that no nonzero minor can be
     # divisible by the (much larger) default prime
     sparse = _dense_to_sparse(matrix)
-    assert modp_rank(sparse, PRIME) == exact_rank(sparse)
+    assert modp_rank(sparse) == exact_rank(sparse)
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,7 +115,7 @@ def test_both_kernels_match_dense_oracle_on_sparse_matrices(matrix):
     sparse = _dense_to_sparse(matrix)
     expected = fraction_rank(matrix)
     assert exact_rank(sparse) == expected
-    assert modp_rank(sparse, PRIME) == expected
+    assert modp_rank(sparse) == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -124,7 +123,7 @@ def test_both_kernels_match_dense_oracle_on_sparse_matrices(matrix):
 def test_modp_rank_matches_dense_modp_oracle(matrix):
     sparse = _dense_to_sparse(matrix)
     expected = dense_modp_rank(matrix, PRIME)
-    assert modp_rank(sparse, PRIME) == expected
+    assert modp_rank(sparse) == expected
     assert rank_of(sparse, "prime") == expected
 
 
@@ -151,8 +150,8 @@ def test_exact_pivots_match_the_reference_kernel(matrix):
 @given(st.one_of(sparse_matrix_strategy, lifted_matrix_strategy), st.integers(0, 15))
 def test_modp_rank_stops_only_below_at_least(matrix, at_least):
     sparse = _dense_to_sparse(matrix)
-    rank = modp_rank(sparse, PRIME)
-    got = modp_rank(sparse, PRIME, at_least)
+    rank = modp_rank(sparse)
+    got = modp_rank(sparse, at_least)
     if rank >= at_least:
         assert got == rank
     else:
@@ -166,7 +165,7 @@ def test_modp_rank_matches_the_reference_kernel(matrix):
     # reads a residue, so both see the same row mod p at every step
     sparse = _dense_to_sparse(matrix)
     for at_least in range(16):
-        assert modp_rank(sparse, PRIME, at_least) == modp_rank_reference(sparse, PRIME, at_least)
+        assert modp_rank(sparse, at_least) == modp_rank_reference(sparse, PRIME, at_least)
 
 
 @pytest.mark.parametrize(
@@ -177,17 +176,17 @@ def test_modp_rank_skips_a_lead_that_cancelled_mod_p(rows, rank):
     # Reducing the second row by the first leaves a multiple of PRIME, not
     # 0, on column 1, which is then popped as the lead and skipped.
     for at_least in (0, 1, 2):
-        assert modp_rank(rows, PRIME, at_least) == modp_rank_reference(rows, PRIME, at_least)
-    assert modp_rank(rows, PRIME) == rank
+        assert modp_rank(rows, at_least) == modp_rank_reference(rows, PRIME, at_least)
+    assert modp_rank(rows) == rank
 
 
 def test_modp_rank_gives_up_once_the_target_is_out_of_reach():
     # shortest first, the second row reduces to zero, so a rank of 4 from 4
     # rows is out of reach before the two longer rows are read
     rows = [{1: 1, 2: 1}, {0: 3}, {1: 1, 2: 5}, {0: 1}]
-    assert modp_rank(rows, PRIME) == 3
-    assert modp_rank(rows, PRIME, 3) == 3
-    assert modp_rank(rows, PRIME, 4) == 1
+    assert modp_rank(rows) == 3
+    assert modp_rank(rows, 3) == 3
+    assert modp_rank(rows, 4) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -198,7 +197,7 @@ def test_rank_kernels_leave_input_rows_unchanged(matrix):
     sparse = _dense_to_sparse(matrix)
     before = copy.deepcopy(sparse)
     exact_rank(sparse)
-    modp_rank(sparse, PRIME)
+    modp_rank(sparse)
     for field in ("exact", "prime"):
         rank_of(sparse, field)
     assert sparse == before
@@ -211,7 +210,7 @@ def test_rank_invariant_under_column_relabelling(matrix, rng):
     labels = rng.sample(range(1000), len(matrix[0]))
     relabelled = [{labels[j]: v for j, v in row.items()} for row in sparse]
     assert exact_rank(relabelled) == exact_rank(sparse)
-    assert modp_rank(relabelled, PRIME) == modp_rank(sparse, PRIME)
+    assert modp_rank(relabelled) == modp_rank(sparse)
 
 
 @settings(max_examples=40, deadline=None)
@@ -220,7 +219,7 @@ def test_rank_invariant_under_transposition(matrix):
     sparse = _dense_to_sparse(matrix)
     transposed = _dense_to_sparse(zip(*matrix))
     assert exact_rank(transposed) == exact_rank(sparse)
-    assert modp_rank(transposed, PRIME) == modp_rank(sparse, PRIME)
+    assert modp_rank(transposed) == modp_rank(sparse)
     assert rank_of(transposed) == rank_of(sparse)
     assert rank_of(transposed, "prime") == rank_of(sparse, "prime")
 
@@ -258,7 +257,7 @@ def test_rank_edge_cases():
     assert exact_rank([{}, {}]) == 0
     identity = [{i: 1} for i in range(5)]
     assert exact_rank(identity) == 5
-    assert modp_rank([{i: 1} for i in range(5)], PRIME) == 5
+    assert modp_rank([{i: 1} for i in range(5)]) == 5
     # one row repeated many times
     row = {0: 14, 3: -5}
     assert exact_rank([dict(row) for _ in range(4)]) == 1
@@ -275,7 +274,7 @@ def test_modp_rank_with_field_scalars():
         {1: 1},
     ]
     # row2 = 4 * row1, so the rank is 2
-    assert modp_rank(rows, p) == 2
+    assert modp_rank(rows) == 2
 
 
 def test_modp_pivot_with_lead_other_than_one():
@@ -283,17 +282,17 @@ def test_modp_pivot_with_lead_other_than_one():
     c = 5 * pow(3, -1, p) % p
     # the first row is the pivot on column 0 with lead 3; the second is its
     # multiple by 1/3 mod p and must reduce to zero through that inverse
-    assert modp_rank([{0: 3, 1: 5}, {0: 1, 1: c}], p) == 1
-    assert modp_rank([{0: 3, 1: 5}, {0: 1, 1: c + 1}], p) == 2
+    assert modp_rank([{0: 3, 1: 5}, {0: 1, 1: c}]) == 1
+    assert modp_rank([{0: 3, 1: 5}, {0: 1, 1: c + 1}]) == 2
     # a reduced row becomes a pivot with lead 2 on column 1; the third row is
     # 2*row1 + 7*row2 and reduces to zero through both pivots
     rows = [{0: 3, 1: 5, 2: 1}, {0: 3, 1: 7, 2: 4}, {0: 27, 1: 59, 2: 30}]
-    assert modp_rank(rows, p) == 2
+    assert modp_rank(rows) == 2
     rows[2][2] += 1
-    assert modp_rank(rows, p) == 3
+    assert modp_rank(rows) == 3
 
 
-def test_dedupe_rows_collapses_scalar_multiples():
+def test_rank_of_counts_scalar_multiples_once():
     rows = [
         {0: 1, 2: 3},
         {0: 2, 2: 6},
@@ -301,18 +300,15 @@ def test_dedupe_rows_collapses_scalar_multiples():
         {1: 5},
         {},
     ]
-    deduped = dedupe_rows(rows)
-    assert len(deduped) == 2
-    assert exact_rank(deduped) == exact_rank(rows) == 2
-    # a rational multiple is a multiple mod p too, so one key serves both ranks
-    assert rank_of(rows, "prime") == modp_rank(rows, PRIME) == 2
+    assert rank_of(rows) == exact_rank(rows) == 2
+    assert rank_of(rows, "prime") == modp_rank(rows) == 2
 
 
 def test_dedupe_keeps_a_multiple_of_a_row_that_vanishes_mod_p():
     # (p + 1) * row is a rational multiple of p * row, but only the first is
     # nonzero mod p
     rows = [{0: PRIME, 3: 2 * PRIME}, {0: PRIME + 1, 3: 2 * PRIME + 2}, {0: 5, 3: 10}]
-    assert dedupe_rows(rows) == rows[:2]
+    assert dedupe_rows(rows) == rows
     assert rank_of(rows, "prime") == rank_of(rows) == 1
 
 
@@ -350,8 +346,11 @@ def _dedupe_rows_from(draws):
 @given(dedupe_strategy)
 def test_dedupe_rows_keeps_the_reference_rows(draws):
     rows = _dedupe_rows_from(draws)
-    got, want = dedupe_rows(rows), dedupe_rows_reference(rows)
-    assert [id(r) for r in got] == [id(r) for r in want]
+    dense = [[row.get(c, 0) for c in range(8)] for row in rows]
+    assert rank_of(rows) == fraction_rank(dense)
+    assert rank_of(rows, "prime") == dense_modp_rank(dense, PRIME)
+    kept = [id(r) for r in rows if any(r.values())]
+    assert [id(r) for r in dedupe_rows(rows)] == kept
 
 
 @settings(max_examples=30, deadline=None)

@@ -18,7 +18,7 @@ from bordercert.borderbasis import (
     specialize_system,
 )
 from bordercert.coeffring import CoeffPoly, IndeterminateRegistry
-from bordercert.linalg import PRIME, _exact_pivots, dedupe_rows, exact_rank, modp_rank, rank_of
+from bordercert.linalg import PRIME, _exact_pivots, exact_rank, modp_rank, rank_of
 from bordercert.modification import build_generic_modification
 from bordercert.monomial import ArgumentError
 from bordercert.orderideal import Signature, build, translation_frame
@@ -118,15 +118,15 @@ def test_tangent_equations_are_ranked_by_column(monkeypatch):
     assert all(0 <= eq < n_equations and v for vec in seen for eq, v in vec.items())
 
 
-def test_dedupe_rows_drops_repeated_tangent_columns():
+def test_repeated_tangent_columns_keep_their_rank():
     """Tangent columns can repeat: at (3,2,3,2,0), seed 1, those of a_{7,7}
-    and a_{8,7} are multiples of earlier ones.  Dropping them keeps the rank
-    of the raw columns in both fields."""
+    and a_{8,7} are multiples of earlier ones.  Both kernels reduce them to
+    zero themselves, so the rank is the same through `rank_of` and through
+    the kernels, in both fields."""
     oid, spec = _modified_specialized(Signature(3, 2, 3, 2, 0), seed=1)
     cols = [vec for vec in checked_columns(spec) if vec]
-    assert len(dedupe_rows(cols)) < len(cols)
     assert rank_of(cols, "exact") == exact_rank(cols) == 72
-    assert rank_of(cols, "prime") == modp_rank(cols, PRIME) == 72
+    assert rank_of(cols, "prime") == modp_rank(cols) == 72
 
 
 def test_prime_field_agrees_with_exact():
@@ -519,7 +519,7 @@ def test_tangent_columns_where_a_border_code_meets_its_own_pair():
 def test_modp_rank_on_tangent_columns_matches_the_reference_kernel(sig, at_least, rank):
     _, spec = _modified_specialized(Signature(*sig))
     cols = [vec for vec in _tangent_columns(spec) if vec]
-    got = modp_rank(cols, PRIME, at_least)
+    got = modp_rank(cols, at_least)
     assert got == modp_rank_reference(cols, PRIME, at_least)
     if rank is None:  # 733 is out of reach of the rank 654, so it stops early
         assert got < 654
@@ -606,8 +606,8 @@ def test_witness_certificate_stops_early_where_it_fails(monkeypatch):
     columns = checked_columns(spec)
     ranks = []
 
-    def recorded(rows, prime, at_least=0):
-        ranks.append((at_least, modp_rank(rows, prime, at_least)))
+    def recorded(rows, at_least=0):
+        ranks.append((at_least, modp_rank(rows, at_least)))
         return ranks[-1][1]
 
     monkeypatch.setattr("bordercert.tangent.modp_rank", recorded)
@@ -615,7 +615,7 @@ def test_witness_certificate_stops_early_where_it_fails(monkeypatch):
     assert len(ranks) == 1
     target, got = ranks[0]
     assert target == oid.mu * oid.nu - dim_U(oid) == 733
-    assert got < 654 == modp_rank([vec for vec in columns if vec], PRIME)
+    assert got < 654 == modp_rank([vec for vec in columns if vec])
     assert tangent_dimension(spec, "exact", columns) == 129
 
 
