@@ -9,22 +9,21 @@ point.  Specialized systems are the same in both fields; prime mode reduces
 modulo `linalg.PRIME` only inside the tangent rank, so the modulus is not a
 property of the system.
 
-`reduce` rewrites an arbitrary element to one supported on basis monomials.
-A basis monomial stays and a border monomial becomes its tail.  Any other
-monomial starts at t_1 = 1 and is multiplied by its variables one at a time;
-each step is a multiplication map t_i -> NF(t_i * x_k), read from the order
-ideal's product table (`OrderIdealData.products`).  At a border basis these
-maps commute, so the order of the steps does not matter.
+`BorderSystem.normal_form` holds the one rule every reduction here shares.
+The order ideal's product table (`OrderIdealData.products`) locates each
+product t_i * x_k by an integer code, i' for the basis monomial t_i' and -j
+for the border monomial b_j; a combination of codes reaches the basis once
+each border code is replaced by its tail.  `reduce` codes basis and border
+monomials directly.  Any other monomial starts at t_1 = 1 and is multiplied
+by its variables one at a time, each step the multiplication map
+t_i -> NF(t_i * x_k) on codes; at a border basis these maps commute.
 
 `is_border_basis` applies the neighbor-pair criterion of Kehrein and Kreuzer
-without building a monomial: an S-polynomial is a combination of products
-t_i * x_k, each of which the order ideal's product table
-(`OrderIdealData.products`) locates as a basis or border index, so the check
-sums tails on those integer codes and substitutes each border code's tail
-once.  A pair whose two tails are empty is skipped.  On polynomial tails the
-sums run on flat integer dicts keyed by (code, exponent key), so no
-`CoeffPoly` is built along the way; on integer tails they run on the codes
-alone.  Only a nonzero residue is turned back into a `SpanElement`.
+on codes too: an S-polynomial is a combination of products t_i * x_k, so no
+monomial is built, and a pair whose two tails are empty is skipped.  Integer
+tails go through `normal_form`; polynomial tails sum flat integer dicts keyed
+by (code, exponent key), so no `CoeffPoly` is built along the way.  Only a
+nonzero residue is turned back into a `SpanElement`.
 """
 
 from __future__ import annotations
@@ -199,22 +198,29 @@ class BorderSystem:
                 count += len(c.terms) if isinstance(c, CoeffPoly) else 1
         return count
 
-    def _times_variable(self, vec: Dict[int, object], k: int) -> Dict[int, object]:
-        """x_k * sum_i vec[i]*t_i, keyed by basis index: t_i * x_k is read
-        from `products`, a code i' > 0 adding to t_i' and a code -j
-        substituting the tail of b_j."""
-        products, tails = self.oid.products, self.tails
+    def normal_form(self, terms) -> Dict[int, object]:
+        """Normal form, keyed by basis index, of the sum of c * code over
+        (`products` code, c) pairs: a code i > 0 is t_i, and a code -j is b_j,
+        which becomes its tail.  Zero coefficients are skipped, zero sums
+        dropped."""
+        tails = self.tails
         out: Dict[int, object] = {}
-        for i, c in vec.items():
-            code = products[i][k]
+        for code, c in terms:
+            if not c:
+                continue
             if code > 0:
                 v = out.get(code)
                 out[code] = c if v is None else v + c
                 continue
-            for i2, y in tails[-code - 1].items():
-                v = out.get(i2)
-                out[i2] = c * y if v is None else v + c * y
+            for i, y in tails[-code - 1].items():
+                v = out.get(i)
+                out[i] = c * y if v is None else v + c * y
         return {i: c for i, c in out.items() if c}
+
+    def _times_variable(self, vec: Dict[int, object], k: int) -> Dict[int, object]:
+        """x_k * sum_i vec[i]*t_i, keyed by basis index."""
+        products = self.oid.products
+        return self.normal_form((products[i][k], c) for i, c in vec.items())
 
 
 def generic_distinguished(
@@ -240,24 +246,19 @@ def generic_distinguished(
 def reduce(f: SpanElement, sys: BorderSystem) -> SpanElement:
     """Rewrite f modulo the system onto the basis monomials."""
     oid = sys.oid
-    acc: Dict[int, object] = {}
+    terms = []
     for m, c in f.terms.items():
-        i = oid.index_of_basis.get(m)
-        j = oid.index_of_border.get(m)
-        if i is not None:
-            vec = {i: c}
-        elif j is not None:
-            vec = {i2: c * y for i2, y in sys.tails[j - 1].items()}
-        else:
-            vec = {1: c}
-            for k, e in enumerate(m.exps, start=1):
-                for _ in range(e):
-                    vec = sys._times_variable(vec, k)
-        for i, v in vec.items():
-            w = acc.get(i)
-            acc[i] = v if w is None else w + v
+        code = oid.index_of_basis.get(m) or -oid.index_of_border.get(m, 0)
+        if code:  # 0 is no code: m lies outside the basis and its border
+            terms.append((code, c))
+            continue
+        vec = {1: c}
+        for k, e in enumerate(m.exps, start=1):
+            for _ in range(e):
+                vec = sys._times_variable(vec, k)
+        terms.extend(vec.items())  # a basis index is its own code
     basis = oid.basis
-    return SpanElement({basis[i - 1]: c for i, c in acc.items()})
+    return SpanElement({basis[i - 1]: c for i, c in sys.normal_form(terms).items()})
 
 
 def s_polynomial(sys: BorderSystem, j1: int, j2: int, alpha: int, beta: int) -> SpanElement:
@@ -321,25 +322,13 @@ def _integer_pair_failures(sys: BorderSystem, pairs) -> list:
     # Integer tails keep this loop of their own: wrapped as constant terms and
     # sent through the term-dict loop of `_poly_pair_failures`, the
     # specialized checks of the `verify` workload ran 2.1-2.3x slower.
-    products, tails = sys.oid.products, sys.tails
-    basis = sys.oid.basis
+    products, tails, basis = sys.oid.products, sys.tails, sys.oid.basis
     failures = []
     for pair in pairs:
         j1, j2, alpha, beta = pair
-        acc: Dict[int, int] = {}
-        for code, c in _s_codes(products, tails[j1 - 1], alpha, tails[j2 - 1], beta).items():
-            if not c:
-                continue
-            if code > 0:
-                v = acc.get(code)
-                acc[code] = c if v is None else v + c
-                continue
-            for i, y in tails[-code - 1].items():
-                v = acc.get(i)
-                acc[i] = c * y if v is None else v + c * y
-        residue = {basis[i - 1]: c for i, c in acc.items() if c}
-        if residue:
-            failures.append((pair, SpanElement(residue)))
+        acc = sys.normal_form(_s_codes(products, tails[j1 - 1], alpha, tails[j2 - 1], beta).items())
+        if acc:
+            failures.append((pair, SpanElement({basis[i - 1]: c for i, c in acc.items()})))
     return failures
 
 

@@ -72,6 +72,8 @@ class Monomial:
         return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
 
     def mul_var(self, k: int, power: int = 1) -> "Monomial":
+        if not 1 <= k <= len(self.exps):
+            raise ArgumentError(f"variable index {k} out of range 1..{self.n}")
         exps = list(self.exps)
         exps[k - 1] += power
         return Monomial(exps)
@@ -87,6 +89,8 @@ class Monomial:
 
     def div_var(self, k: int) -> "Monomial":
         """self / x_k; the exponent must be positive."""
+        if not 1 <= k <= len(self.exps):
+            raise ArgumentError(f"variable index {k} out of range 1..{self.n}")
         if self.exps[k - 1] <= 0:
             raise ArgumentError(f"{self} is not divisible by x{k}")
         exps = list(self.exps)

@@ -6,10 +6,10 @@ to zero modulo eps^2 yields one linear equation per (neighbor pair, basis
 monomial) in the mu*nu unknowns a_ij; the tangent dimension is mu*nu minus
 the rank of that system.  The system has several times more equations than
 unknowns, so it is held by column, one sparse {equation: coefficient} vector
-per unknown, and ranked as its transpose.  Its coefficients are read from the
-order ideal's product table (`OrderIdealData.products`) and the pairs'
-S-polynomials on the same integer codes (`BorderSystem.pair_codes`); no
-monomial is built or reduced.
+per unknown, and ranked as its transpose.  Its coefficients are the normal
+forms of the product-table codes (`BorderSystem.normal_form`) and the pairs'
+S-polynomials on the same codes (`BorderSystem.pair_codes`); no monomial is
+built or reduced.
 
 Coordinate tangent tuples differentiate the constructed family itself: one
 tuple per free tail slot, per free target coefficient, and per translation
@@ -27,9 +27,10 @@ tuple the normal form of a generator partial times a shift.  A `TangentPoint`
 specializes the system once per point, refuses it unless it is a border
 basis, and holds what the tuples share: the specialized system, the
 translation frame, the tail gradients and each generator's partial along
-each variable, already reduced to a vector on basis indices.  A translation
-tuple multiplies that vector by the shift one variable at a time, each step
-read from the product table; at a border basis the multiplication maps
+each variable as a vector on basis indices.  Every term of a partial is a
+basis or border monomial, so one `normal_form` call on its codes reduces it.
+A translation tuple multiplies that vector by the shift one variable at a
+time, each step a multiplication map on codes; at a border basis these maps
 commute, so this is the normal form of the partial times the shift.
 `checked_columns` checks a point and assembles its equations once, for the
 certificate and the fallback alike.  Prime mode differs only in that the
@@ -42,13 +43,7 @@ import random
 import re
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .borderbasis import (
-    BorderSystem,
-    SpanElement,
-    is_border_basis,
-    reduce,
-    specialize_system,
-)
+from .borderbasis import BorderSystem, is_border_basis, specialize_system
 from .coeffring import IndeterminateRegistry, _integer_assignment
 from .linalg import check_field, modp_rank, rank_of
 from .monomial import ArgumentError, InternalInvariantError
@@ -95,17 +90,12 @@ def _tangent_columns(sys: BorderSystem) -> List[Dict[int, int]]:
 
     Equation `mu*p + k - 1` is the coefficient of basis monomial k in the
     first-order part of neighbor pair p.  The normal form of t_i * x_k is
-    read from the product table: t_i' itself for a basis code i', the tail
-    of b_j for a border code -j.
+    that of its product-table code.
     """
     oid = sys.oid
     mu = oid.mu
     cols: List[Dict[int, int]] = [dict() for _ in range(mu * oid.nu)]
-    tails = sys.tails
-    normal_forms = [
-        [((code, 1),) if code > 0 else tuple(tails[-code - 1].items()) for code in row]
-        for row in oid.products
-    ]
+    normal_forms = [[tuple(sys.normal_form([(c, 1)]).items()) for c in row] for row in oid.products]
 
     # Equations mu*p .. mu*p + mu - 1 belong to pair p alone, and the loops
     # over i write disjoint columns, so every entry they write is new and
@@ -170,8 +160,7 @@ def tangent_dimension(
     oid = sys.oid
     # A matrix and its transpose have the same rank; the system is tall, so
     # eliminating its columns leaves far fewer vectors to reduce to zero.
-    cols = [vec for vec in columns if vec]
-    dim = oid.mu * oid.nu - rank_of(cols, field)
+    dim = oid.mu * oid.nu - rank_of(columns, field)
     if dim < dim_U(oid):
         raise InternalInvariantError(
             f"tangent dimension {dim} fell below the family dimension {dim_U(oid)}"
@@ -208,16 +197,22 @@ class TangentPoint(NamedTuple):
     jacobian: Dict[int, Dict[int, int]]
 
 
-def _reduced_partial(spec: BorderSystem, f: SpanElement, alpha: int) -> Dict[int, int]:
-    """Normal form of d f / d x_alpha on basis indices.  Differentiating is
-    termwise, since dividing by x_alpha cannot merge two terms."""
-    terms = {}
-    for m, c in f.terms.items():
-        e = m.var_degree(alpha)
+def _reduced_partial(spec: BorderSystem, j: int, alpha: int) -> Dict[int, int]:
+    """Normal form of dg_j/dx_alpha, g_j = b_j - sum_i Y_ij t_i, on basis
+    indices.  Each quotient by x_alpha has a code: t_i/x_alpha is in the
+    basis, and if b_j = x_k*t with k != alpha, then x_alpha divides t."""
+    oid = spec.oid
+    basis, index_of_basis, b = oid.basis, oid.index_of_basis, oid.border[j - 1]
+    terms = []
+    e = b.exps[alpha - 1]
+    if e:
+        q = b.div_var(alpha)
+        terms.append((index_of_basis.get(q) or -oid.index_of_border[q], e))
+    for i, y in spec.tails[j - 1].items():
+        e = basis[i - 1].exps[alpha - 1]
         if e:
-            terms[m.div_var(alpha)] = c * e
-    index_of_basis = spec.oid.index_of_basis
-    return {index_of_basis[t]: v for t, v in reduce(SpanElement(terms), spec).terms.items()}
+            terms.append((index_of_basis[basis[i - 1].div_var(alpha)], -y * e))
+    return spec.normal_form(terms)
 
 
 def tangent_point(sys_generic: BorderSystem, assignment) -> TangentPoint:
@@ -235,9 +230,8 @@ def _point_at(sys_generic: BorderSystem, values, spec: BorderSystem) -> TangentP
     `values` and already checked to be a border basis."""
     oid = sys_generic.oid
     frame = translation_frame(oid)
-    generators = [spec.generator(j) for j in range(1, oid.nu + 1)]
     partials = {
-        alpha: tuple(_reduced_partial(spec, gen, alpha) for gen in generators)
+        alpha: tuple(_reduced_partial(spec, j, alpha) for j in range(1, oid.nu + 1))
         for alpha in frame.delta_sets
     }
     # Tails deform to Y_ij - eps*a_ij, so a_ij = -dY_ij/dchi.
@@ -320,7 +314,7 @@ def witness_certificate(
     oid = spec.oid
     family = dim_U(oid)
     target = oid.mu * oid.nu - family
-    if modp_rank([vec for vec in columns if vec], target) != target:
+    if modp_rank(columns, target) != target:
         return False
     point = _point_at(sys_generic, _integer_assignment(sys_generic.ring.registry, assignment), spec)
     tuples = [

@@ -73,6 +73,12 @@ def test_reduce_fixes_basis_and_substitutes_border():
         got = reduce(SpanElement.single(b, Fraction(1)), sys)
         assert got == sys.tail_span(j)
         assert set(got.support()) <= set(oid.basis)
+    for i in range(1, oid.mu + 1):
+        assert sys.normal_form([(i, 3)]) == {i: 3}
+        assert sys.normal_form([(i, 0)]) == sys.normal_form([(i, 3), (i, -3)]) == {}
+    for j in range(1, oid.nu + 1):
+        assert sys.normal_form([(-j, 3)]) == {i: 3 * y for i, y in sys.tail(j).items()}
+        assert sys.normal_form([(-j, 0), (1, 2)]) == {1: 2}
 
 
 def test_reduce_linear_and_idempotent():

@@ -56,6 +56,14 @@ def test_arithmetic_errors():
         Monomial((-1, 0))
     with pytest.raises(ArgumentError):
         mono(0, 1).div_var(1)
+    for call in (
+        lambda: mono(1, 2).mul_var(0),
+        lambda: mono(1, 2).mul_var(3),
+        lambda: mono(1, 2).div_var(0),
+        lambda: mono(1, 2).div_var(3),
+    ):
+        with pytest.raises(ArgumentError, match="out of range 1..2"):
+            call()
 
 
 # --------------------------------------------------------------- term orders
