@@ -99,9 +99,6 @@ class SpanElement:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SpanElement) and self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset((m, repr(c)) for m, c in self.terms.items()))
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: negdeglex_key(kv[0]))
 
@@ -229,18 +226,10 @@ def generic_distinguished(
     """The pre-basis whose leading tails carry one named coefficient per slot."""
     if registry is None:
         registry = IndeterminateRegistry(oid)
-    ring = RingSpec("poly", registry=registry)
-    leading = set(oid.leading)
-    tails: List[Dict[int, object]] = []
-    for b in oid.border:
-        tail: Dict[int, object] = {}
-        if b in leading:
-            j = oid.index_of_border[b]
-            for t in oid.trailing:
-                i = oid.index_of_basis[t]
-                tail[i] = CoeffPoly.indeterminate(registry, registry.c_id(i, j))
-        tails.append(tail)
-    return BorderSystem(oid, tails, ring)
+    tails: List[Dict[int, object]] = [{} for _ in range(oid.nu)]
+    for k, (i, j) in enumerate(registry.tail_slots):
+        tails[j - 1][i] = CoeffPoly.indeterminate(registry, k)
+    return BorderSystem(oid, tails, RingSpec("poly", registry=registry))
 
 
 def reduce(f: SpanElement, sys: BorderSystem) -> SpanElement:

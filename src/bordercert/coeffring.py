@@ -5,7 +5,8 @@ Two kinds of scalars appear downstream:
 * `CoeffPoly`: sparse polynomials with integer coefficients in named
   indeterminates — one tail coefficient C[i,j] per (trailing monomial,
   leading monomial) slot plus one free target coefficient theta[q] per seed
-  target term,
+  target term, each named once by `IndeterminateRegistry`, the C[i,j] in
+  the order of its `tail_slots`,
 * plain integers: the values of those polynomials at an integer point.  The
   construction only adds, multiplies and shifts, so integers suffice
   everywhere; prime mode reduces them modulo the fixed prime of `linalg`
@@ -17,7 +18,7 @@ No floating point appears anywhere.
 from __future__ import annotations
 
 from numbers import Rational
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .monomial import ArgumentError
 
@@ -25,49 +26,36 @@ from .monomial import ArgumentError
 class IndeterminateRegistry:
     """Stable names and dense integer ids for one order ideal's indeterminates.
 
-    The tail slots C[i,j] (i the basis index of a trailing monomial, j the
-    border index of a leading monomial) come first, grouped by j; the free
-    target coefficients theta[1..gamma] follow.
+    `tail_slots` lists the (i, j) of each tail slot C[i,j] in id order (i the
+    basis index of a trailing monomial, j the border index of a leading
+    monomial), grouped by j; the free target coefficients theta[1..gamma]
+    follow.  The generic tails and the coordinate labels read this one list.
     """
 
-    __slots__ = ("distinguished", "modification", "names", "_id_of_name", "_c_ids", "_theta_ids")
+    __slots__ = ("tail_slots", "names", "_id_of_name")
 
     def __init__(self, oid):
-        self.distinguished = []
-        self._c_ids: Dict[Tuple[int, int], int] = {}
-        names = []
-        for lead in oid.leading:
-            j = oid.index_of_border[lead]
-            for trail in oid.trailing:
-                i = oid.index_of_basis[trail]
-                name = f"C[{i},{j}]"
-                self._c_ids[(i, j)] = len(names)
-                names.append(name)
-                self.distinguished.append(name)
-        self.modification = []
-        self._theta_ids: Dict[int, int] = {}
-        for q in range(1, oid.gamma + 1):
-            name = f"theta[{q}]"
-            self._theta_ids[q] = len(names)
-            names.append(name)
-            self.modification.append(name)
-        self.names = names
-        self._id_of_name = {name: i for i, name in enumerate(names)}
-        if len(self.distinguished) != oid.ell * oid.tau:
-            raise ArgumentError("tail slot count must be ell*tau")
+        self.tail_slots: List[Tuple[int, int]] = [
+            (oid.index_of_basis[trail], oid.index_of_border[lead])
+            for lead in oid.leading
+            for trail in oid.trailing
+        ]
+        self.names = [f"C[{i},{j}]" for i, j in self.tail_slots]
+        self.names += [f"theta[{q}]" for q in range(1, oid.gamma + 1)]
+        self._id_of_name = {name: k for k, name in enumerate(self.names)}
 
     def __len__(self) -> int:
         return len(self.names)
 
     def c_id(self, i: int, j: int) -> int:
         try:
-            return self._c_ids[(i, j)]
+            return self._id_of_name[f"C[{i},{j}]"]
         except KeyError:
             raise ArgumentError(f"no tail slot C[{i},{j}] in this registry") from None
 
     def theta_id(self, q: int) -> int:
         try:
-            return self._theta_ids[q]
+            return self._id_of_name[f"theta[{q}]"]
         except KeyError:
             raise ArgumentError(f"no target coefficient theta[{q}] in this registry") from None
 
@@ -170,9 +158,6 @@ class CoeffPoly:
         if not isinstance(other, CoeffPoly):
             return self.terms == CoeffPoly.constant(self.registry, other).terms
         return self.registry is other.registry and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
 
     # ------------------------------------------------------------- queries
 

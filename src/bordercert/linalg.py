@@ -123,9 +123,10 @@ def modp_rank(rows: Iterable[SparseRow], at_least: int = 0) -> int:
 
     Once so many rows have reduced to zero that the rank can no longer reach
     `at_least`, the elimination stops and returns the rank found so far;
-    that and the rank itself are then both below `at_least`.
+    that and the rank itself are then both below `at_least`.  Empty rows
+    are dropped first, so the value does not depend on them.
     """
-    rows = sorted(rows, key=len)
+    rows = sorted((row for row in rows if any(row.values())), key=len)
     spare = len(rows) - at_least  # rows that may still reduce to zero
     pos = _by_column_count(rows)
     # A pivot is stored without its lead, beside the inverse of the lead:

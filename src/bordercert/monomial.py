@@ -98,6 +98,7 @@ class Monomial:
         return Monomial(exps)
 
     def divides(self, other: "Monomial") -> bool:
+        _check_same_ambient(self, other)
         return all(a <= b for a, b in zip(self.exps, other.exps))
 
     def __mul__(self, other: "Monomial") -> "Monomial":

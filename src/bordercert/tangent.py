@@ -171,7 +171,7 @@ def tangent_dimension(
 # ------------------------------------------------- coordinate tangent tuples
 
 
-_LABEL = re.compile(r"(C\[\d+,\d+\]|theta\[\d+\]|Z\[(\d+),(\d+)\])$")
+_TRANSLATION = re.compile(r"Z\[(\d+),(\d+)\]")
 
 
 def random_assignment(registry: IndeterminateRegistry, seed: int) -> Dict[int, int]:
@@ -267,11 +267,9 @@ def coordinate_tangent_tuple(
     which `tangent_point` made from `sys_generic`."""
     if point.system is not sys_generic:
         raise ArgumentError("the tangent point was made from another system")
-    m = _LABEL.fullmatch(chi)
-    if m is None:
-        raise ArgumentError(f"unknown coordinate {chi!r}")
-    if chi.startswith("Z["):
-        entries = _translation_entries(point, int(m.group(2)), int(m.group(3)))
+    m = _TRANSLATION.fullmatch(chi)
+    if m:
+        entries = _translation_entries(point, int(m.group(1)), int(m.group(2)))
     else:
         entries = dict(point.jacobian.get(sys_generic.ring.registry.id_of(chi), {}))
     return TangentTuple(sys_generic.oid.mu, sys_generic.oid.nu, entries)
@@ -279,12 +277,7 @@ def coordinate_tangent_tuple(
 
 def coordinate_labels(sys_generic: BorderSystem) -> List[str]:
     """Every coordinate of the family: tail slots, targets, translations."""
-    registry = sys_generic.ring.registry
-    return (
-        list(registry.distinguished)
-        + list(registry.modification)
-        + translation_frame(sys_generic.oid).labels()
-    )
+    return sys_generic.ring.registry.names + translation_frame(sys_generic.oid).labels()
 
 
 def independence_rank(sys_generic: BorderSystem, assignment) -> int:

@@ -260,8 +260,9 @@ def modp_rank_reference(rows, prime, at_least=0):
     """Rank mod `prime` by the kernel `linalg.modp_rank` replaced: it reduces
     every fused update mod `prime` at once, deletes each entry that cancels
     and stores a pivot with its lead.  `linalg` must return the same value
-    for every `at_least`."""
-    rows = sorted(rows, key=len)
+    for every `at_least`.  Empty rows are dropped before the rows that may
+    reduce to zero are counted, so they never change the value."""
+    rows = sorted((row for row in rows if any(row.values())), key=len)
     spare = len(rows) - at_least
     pos = _by_column_count(rows)
     pivots = {}

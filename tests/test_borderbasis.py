@@ -344,6 +344,10 @@ def test_span_element_operations():
     assert f.coefficient(Monomial.unit(3)) == 0
     assert (f + f.scaled(-1)) == SpanElement()
     assert f.monomial_multiple(m2).coefficient(m1 * m2) == 2
+    # Equal coefficients of different types must not hash apart, so no hash.
+    assert SpanElement({m1: 2}) == SpanElement({m1: Fraction(2)})
+    with pytest.raises(TypeError):
+        hash(SpanElement({m1: 2}))
 
 
 def test_render_system_lines():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bordercert.borderbasis import generic_distinguished
 from bordercert.coeffring import (
     CoeffPoly,
     IndeterminateRegistry,
@@ -36,6 +37,13 @@ def test_registry_names_and_sizes(registry):
         "C[12,2]",
     ]
     assert registry.names[-5:] == [f"theta[{q}]" for q in range(1, 6)]
+    # the tail slots name the C[i,j], give their ids and place them in the tails
+    tails = generic_distinguished(oid, registry).tails
+    assert len(registry.tail_slots) == oid.ell * oid.tau
+    for k, (i, j) in enumerate(registry.tail_slots):
+        assert registry.names[k] == f"C[{i},{j}]"
+        assert registry.c_id(i, j) == k
+        assert tails[j - 1][i] == CoeffPoly.indeterminate(registry, k)
     assert registry.name_of(registry.c_id(14, 3)) == "C[14,3]"
     assert registry.name_of(registry.theta_id(2)) == "theta[2]"
     assert registry.id_of("C[12,1]") == 0
@@ -139,6 +147,13 @@ def test_constant_term_degree_indeterminates(registry):
     assert CoeffPoly.zero(registry).degree() == -1
     assert not CoeffPoly.zero(registry)
     assert t1.constant_term == 0
+
+
+def test_coeff_poly_is_unhashable(registry):
+    # It equals a plain integer, whose hash it could not match for every value.
+    assert CoeffPoly.constant(registry, 2) == 2
+    with pytest.raises(TypeError):
+        hash(CoeffPoly.constant(registry, 2))
 
 
 def test_rendering(registry):

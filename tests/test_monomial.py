@@ -53,6 +53,10 @@ def test_arithmetic_errors():
     with pytest.raises(ArgumentError):
         cmp_lex(mono(1, 0), mono(1, 0, 0))
     with pytest.raises(ArgumentError):
+        mono(1, 1).divides(mono(1))
+    with pytest.raises(ArgumentError):
+        mono(1).divides(mono(2, 0))
+    with pytest.raises(ArgumentError):
         Monomial((-1, 0))
     with pytest.raises(ArgumentError):
         mono(0, 1).div_var(1)

@@ -372,7 +372,7 @@ def test_theta_and_c_tuples_vanish_at_key_slots(tuple_fixture):
 def test_coordinate_tuple_argument_errors(tuple_fixture):
     oid, registry, system, assignment, _, _ = tuple_fixture
     point = tangent_point(system, assignment)
-    for bad in ("X[1,1]", "theta[99]", "C[1,99]", "Z[9,9]", "junk"):
+    for bad in ("X[1,1]", "theta[99]", "C[1,99]", "Z[9,9]", "Z[1]", "Z[1,1", "junk"):
         with pytest.raises(ArgumentError):
             coordinate_tangent_tuple(system, point, bad)
     spec = specialize_system(system, assignment)
@@ -523,15 +523,30 @@ def test_tangent_columns_where_a_border_code_meets_its_own_pair():
 
 @pytest.mark.parametrize(
     "sig, at_least, rank",
-    [((5, 2, 3, 3, 0), 0, 778), ((3, 4, 6, 2, 1), 0, 654), ((3, 4, 6, 2, 1), 733, None)],
+    [
+        ((5, 2, 3, 3, 0), 0, 778),
+        ((3, 4, 6, 2, 1), 0, 654),
+        ((3, 4, 6, 2, 1), 733, None),
+        # 446 of these 494 columns are nonempty, and their rank is 435
+        ((5, 2, 3, 3, 1), 0, 435),
+        ((5, 2, 3, 3, 1), 441, None),
+        ((5, 2, 3, 3, 1), 446, None),
+        ((5, 2, 3, 3, 1), 447, None),
+        ((5, 2, 3, 3, 1), 451, None),
+    ],
 )
 def test_modp_rank_on_tangent_columns_matches_the_reference_kernel(sig, at_least, rank):
     _, spec = _modified_specialized(Signature(*sig))
-    cols = [vec for vec in _tangent_columns(spec) if vec]
-    got = modp_rank(cols, at_least)
-    assert got == modp_rank_reference(cols, PRIME, at_least)
-    if rank is None:  # 733 is out of reach of the rank 654, so it stops early
-        assert got < 654
+    cols = _tangent_columns(spec)
+    nonempty = [vec for vec in cols if vec]
+    got = modp_rank(nonempty, at_least)
+    # An empty column spends no row that may reduce to zero, even once
+    # `at_least` exceeds the number of nonempty columns.
+    assert modp_rank(cols, at_least) == got
+    assert modp_rank_reference(cols, PRIME, at_least) == got
+    assert modp_rank_reference(nonempty, PRIME, at_least) == got
+    if rank is None:  # `at_least` is out of reach of the rank, so it stops early
+        assert got < modp_rank(nonempty)
     else:
         assert got == rank
 
