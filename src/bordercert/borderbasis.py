@@ -20,10 +20,13 @@ t_i -> NF(t_i * x_k) on codes; at a border basis these maps commute.
 
 `is_border_basis` applies the neighbor-pair criterion of Kehrein and Kreuzer
 on codes too: an S-polynomial is a combination of products t_i * x_k, so no
-monomial is built, and a pair whose two tails are empty is skipped.  Integer
-tails go through `normal_form`; polynomial tails sum flat integer dicts keyed
-by (code, exponent key), so no `CoeffPoly` is built along the way.  Only a
-nonzero residue is turned back into a `SpanElement`.
+monomial is built, and a pair whose two tails are empty is skipped.  It
+checks only the generating pairs (`OrderIdealData.generating_pairs`), whose
+S-polynomials span those of all neighbor pairs, and re-runs over every pair
+only when one fails, to report each failing pair.  Integer tails go through
+`normal_form`; polynomial tails sum flat integer dicts keyed by (code,
+exponent key), so no `CoeffPoly` is built along the way.  Only a nonzero
+residue is turned back into a `SpanElement`.
 """
 
 from __future__ import annotations
@@ -179,10 +182,11 @@ class BorderSystem:
         return self.oid.neighbor_pairs
 
     def pair_codes(self) -> Iterator[Tuple[NeighborPair, Dict[int, object]]]:
-        """Each neighbor pair with its `s_polynomial` keyed by `products`
-        codes: i for the basis monomial t_i, -j for the border monomial b_j."""
+        """Each generating pair (`OrderIdealData.generating_pairs`) with its
+        `s_polynomial` keyed by `products` codes: i for the basis monomial
+        t_i, -j for the border monomial b_j."""
         products, tails = self.oid.products, self.tails
-        for pair in self.neighbor_pairs():
+        for pair in self.oid.generating_pairs:
             j1, j2, alpha, beta = pair
             codes = _s_codes(products, tails[j1 - 1], alpha, tails[j2 - 1], beta)
             yield pair, {code: c for code, c in codes.items() if c}
@@ -296,15 +300,21 @@ def is_border_basis(sys: BorderSystem):
     the S-polynomial of a pair lies in the span of the basis and its border,
     so substituting each border code's tail once leaves basis indices only.
     A pair whose two tails are empty has S-polynomial 0 and is skipped.
+    Every S-polynomial is a sum of +-1 multiples of those of the generating
+    pairs, so those alone are checked, and all pairs only to list failures.
     """
-    pairs = [
-        pair for pair in sys.neighbor_pairs() if sys.tails[pair.j1 - 1] or sys.tails[pair.j2 - 1]
-    ]
-    if sys.ring.kind == "poly":
-        failures = _poly_pair_failures(sys, pairs)
-    else:
-        failures = _integer_pair_failures(sys, pairs)
+    failures = _pair_failures(sys, sys.oid.generating_pairs)
+    if failures:
+        failures = _pair_failures(sys, sys.neighbor_pairs())
     return (not failures, failures)
+
+
+def _pair_failures(sys: BorderSystem, pairs) -> list:
+    tails = sys.tails
+    pairs = [pair for pair in pairs if tails[pair.j1 - 1] or tails[pair.j2 - 1]]
+    if sys.ring.kind == "poly":
+        return _poly_pair_failures(sys, pairs)
+    return _integer_pair_failures(sys, pairs)
 
 
 def _integer_pair_failures(sys: BorderSystem, pairs) -> list:

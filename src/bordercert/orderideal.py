@@ -14,15 +14,17 @@ monomials that will actually carry targets (`s_lead` and `s_deep`).  Three
 more derived structures live here because they depend on the order ideal
 alone: the product table (`OrderIdealData.products`, where each t_i * x_k
 lies, as a basis or border index), the neighbor pairs
-(`OrderIdealData.neighbor_pairs`), both computed once per order ideal on
-first use, and the translation frame (`translation_frame`).
+(`OrderIdealData.neighbor_pairs`) and the subset of them whose S-polynomials
+span all the others (`OrderIdealData.generating_pairs`), each computed once
+per order ideal on first use, and the translation frame
+(`translation_frame`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .monomial import (
     ArgumentError,
@@ -141,14 +143,11 @@ class OrderIdealData:
             table.append(tuple(row))
         return tuple(table)
 
-    @cached_property
-    def neighbor_pairs(self) -> Tuple[NeighborPair, ...]:
-        """All variable-multiple coincidences between border monomials, canonically ordered.
-
-        The products x_alpha * b_j are grouped by exponent tuple: two members
-        of one group give a pair with beta > 0, and a group that is itself a
-        border monomial gives a pair with beta = 0 for each member.
-        """
+    def _pair_groups(self) -> List[Tuple[Optional[int], List[Tuple[int, int]]]]:
+        """The products x_alpha * b_j grouped by monomial m, as (j_next,
+        members): j_next is the border index of m (None if m is no border
+        monomial), and members lists each (j, alpha) with x_alpha * b_j = m
+        by increasing j."""
         n = self.signature.n
         groups: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
         for j, b in enumerate(self.border, start=1):
@@ -157,15 +156,47 @@ class OrderIdealData:
                 m = exps[:k] + (exps[k] + 1,) + exps[k + 1 :]
                 groups.setdefault(m, []).append((j, k + 1))
         border_index = {m.exps: j for m, j in self.index_of_border.items()}
+        return [(border_index.get(m), members) for m, members in groups.items()]
+
+    @cached_property
+    def neighbor_pairs(self) -> Tuple[NeighborPair, ...]:
+        """All variable-multiple coincidences between border monomials, canonically ordered.
+
+        Two members of one group of `_pair_groups` give a pair with beta > 0,
+        and a group that is itself a border monomial gives a pair with
+        beta = 0 for each member.
+        """
         found = []
-        for m, members in groups.items():
-            j_next = border_index.get(m)
+        for j_next, members in self._pair_groups():
             for pos, (j1, alpha) in enumerate(members):
                 if j_next is not None:
                     found.append(NeighborPair(j1, j_next, alpha, 0))
                 # members are listed by increasing j, so j1 < j2 below
                 for j2, beta in members[pos + 1 :]:
                     found.append(NeighborPair(j1, j2, alpha, beta))
+        found.sort()
+        return tuple(found)
+
+    @cached_property
+    def generating_pairs(self) -> Tuple[NeighborPair, ...]:
+        """The neighbor pairs whose S-polynomials span those of all of them
+        over Z, in the same canonical order.
+
+        A group that is the border monomial b_n keeps the pair (j, n, alpha, 0)
+        of each member: the S-polynomial of (j1, j2, alpha, beta) in it is
+        (x_alpha g_j1 - g_n) - (x_beta g_j2 - g_n).  Any other group keeps the
+        pairs of its first member with each other member: that of (j1, j2)
+        is the one of (first, j2) minus the one of (first, j1).  The normal
+        form and the first-order part of an S-polynomial are linear in it, so
+        the kept pairs decide the criterion and the tangent rank alike.
+        """
+        found = []
+        for j_next, members in self._pair_groups():
+            if j_next is not None:
+                found.extend(NeighborPair(j, j_next, alpha, 0) for j, alpha in members)
+                continue
+            j1, alpha = members[0]
+            found.extend(NeighborPair(j1, j2, alpha, beta) for j2, beta in members[1:])
         found.sort()
         return tuple(found)
 

@@ -4,12 +4,14 @@ The first-order deformations of a border basis replace each tail coefficient
 Y_ij by Y_ij - eps*a_ij.  Requiring every neighbor relation to keep reducing
 to zero modulo eps^2 yields one linear equation per (neighbor pair, basis
 monomial) in the mu*nu unknowns a_ij; the tangent dimension is mu*nu minus
-the rank of that system.  The system has several times more equations than
-unknowns, so it is held by column, one sparse {equation: coefficient} vector
-per unknown, and ranked as its transpose.  Its coefficients are the normal
-forms of the product-table codes (`BorderSystem.normal_form`) and the pairs'
-S-polynomials on the same codes (`BorderSystem.pair_codes`); no monomial is
-built or reduced.
+the rank of that system.  The equations of a pair are linear in its
+S-polynomial, so those of the generating pairs
+(`OrderIdealData.generating_pairs`) span the rest, and only they are built.
+The system has several times more equations than unknowns, so it is held by
+column, one sparse {equation: coefficient} vector per unknown, and ranked as
+its transpose.  Its coefficients are the normal forms of the product-table
+codes (`BorderSystem.normal_form`) and the pairs' S-polynomials on the same
+codes (`BorderSystem.pair_codes`); no monomial is built or reduced.
 
 Coordinate tangent tuples differentiate the constructed family itself: one
 tuple per free tail slot, per free target coefficient, and per translation
@@ -89,8 +91,8 @@ def _tangent_columns(sys: BorderSystem) -> List[Dict[int, int]]:
     each equation to its coefficient of the unknown a_ij.
 
     Equation `mu*p + k - 1` is the coefficient of basis monomial k in the
-    first-order part of neighbor pair p.  The normal form of t_i * x_k is
-    that of its product-table code.
+    first-order part of the p-th generating pair.  The normal form of
+    t_i * x_k is that of its product-table code.
     """
     oid = sys.oid
     mu = oid.mu

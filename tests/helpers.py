@@ -7,7 +7,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from bordercert import Signature
-from bordercert.borderbasis import BorderSystem
+from bordercert.borderbasis import BorderSystem, _s_codes
 from bordercert.linalg import _by_column_count
 from bordercert.monomial import InternalInvariantError, Monomial, cmp_lex, monomials_of
 
@@ -309,6 +309,24 @@ def tangent_columns_reference(sys):
     """The tangent equations held by column, assembled through an `add`
     helper on every entry; the form `tangent._tangent_columns` had before it
     was inlined, kept as its reference."""
+    return _columns_through_add(sys, sys.pair_codes())
+
+
+def all_pairs_tangent_columns(sys):
+    """The tangent equations of every neighbor pair, held by column: the
+    reference assembly over `oid.neighbor_pairs` in place of the generating
+    pairs `pair_codes` yields, so its rank is the full system's."""
+    products, tails = sys.oid.products, sys.tails
+    codes = (
+        (pair, _s_codes(products, tails[pair.j1 - 1], pair.alpha, tails[pair.j2 - 1], pair.beta))
+        for pair in sys.oid.neighbor_pairs
+    )
+    return _columns_through_add(sys, codes)
+
+
+def _columns_through_add(sys, pair_codes):
+    """Equation mu*p + k - 1 of the columns is the coefficient of t_k in the
+    first-order part of the p-th item of `pair_codes`, (pair, codes)."""
     oid = sys.oid
     mu = oid.mu
     cols = [dict() for _ in range(mu * oid.nu)]
@@ -329,7 +347,7 @@ def tangent_columns_reference(sys):
         else:
             vec.pop(eq, None)
 
-    for p, (pair, codes) in enumerate(sys.pair_codes()):
+    for p, (pair, codes) in enumerate(pair_codes):
         base = mu * p - 1
         j1, j2, alpha, beta = pair
         for i in range(1, mu + 1):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bordercert.borderbasis import (
     BorderSystem,
     SpanElement,
+    _s_codes,
     generic_distinguished,
     is_border_basis,
     power_in_ideal,
@@ -222,6 +223,81 @@ def test_pair_check_on_a_verify_size_system_with_degree_2_perturbation():
         want = reduce(s_polynomial(bad, pair.j1, pair.j2, pair.alpha, pair.beta), bad)
         assert residue == want and str(residue) == str(want)
     assert str(failures[0][0]) == "NeighborPair(j1=1, j2=6, alpha=6, beta=1)"
+
+
+def test_pair_check_reports_a_first_failure_outside_the_generating_pairs():
+    """A failing generating pair sends the check over every pair, so the
+    report lists the failing pairs the generating ones leave out, in order."""
+    spec = _specialized(Signature(3, 4, 6, 2, 1))
+    ok, failures = _assert_same_check(perturbed(spec, 9, 21, 1))
+    assert not ok
+    assert failures[0][0] not in spec.oid.generating_pairs
+    assert [f"{pair} {residue}" for pair, residue in failures] == [
+        "NeighborPair(j1=8, j2=9, alpha=3, beta=2) 14*x2^2*x3^3 - 266*x2*x3^4 + 161*x3^5"
+        " - 35*x2^2*x3^4 - 301*x2*x3^5 + 329*x3^6",
+        "NeighborPair(j1=9, j2=10, alpha=3, beta=2) -7*x2^2*x3^3",
+        "NeighborPair(j1=9, j2=13, alpha=2, beta=0) -14*x2^2*x3^3 + 266*x2*x3^4 - 161*x3^5"
+        " + 35*x2^2*x3^4 + 301*x2*x3^5 - 329*x3^6",
+        "NeighborPair(j1=9, j2=14, alpha=3, beta=0) -7*x2^2*x3^3",
+    ]
+
+
+def _codes(sys, pair):
+    j1, j2, alpha, beta = pair
+    codes = _s_codes(sys.oid.products, sys.tails[j1 - 1], alpha, sys.tails[j2 - 1], beta)
+    return {code: c for code, c in codes.items() if c}
+
+
+def _difference(plus, minus):
+    out = dict(plus)
+    for code, c in minus.items():
+        out[code] = out.get(code, 0) - c
+    return {code: c for code, c in out.items() if c}
+
+
+def test_generating_pairs_span_every_pair_on_a_grid():
+    """Each neighbor pair outside `generating_pairs` has the S-polynomial
+    codes of one kept pair minus another's, on tails that make no border
+    basis: x_alpha*b_j1 = x_beta*b_j2 = m, and if m is the border monomial b_n
+    the pair is (j1, n, alpha, 0) minus (j2, n, beta, 0); otherwise, with
+    x_gamma*b_j0 = m for the least such j0, (j0, j2, gamma, beta) minus
+    (j0, j1, gamma, alpha)."""
+    rng = random.Random(3)
+    dropped = 0
+    for sig in small_signatures(5, 5):
+        oid = build(sig)
+        kept = set(oid.generating_pairs)
+        remaining = iter(oid.neighbor_pairs)
+        assert all(pair in remaining for pair in oid.generating_pairs), sig
+        first = {}
+        for j, b in enumerate(oid.border, start=1):
+            for k in range(1, sig.n + 1):
+                first.setdefault(b.mul_var(k), (j, k))
+        reg = IndeterminateRegistry(oid)
+        spec = specialize_system(build_generic_modification(oid, reg), _random_assignment(reg, 1))
+        slots = range(1, oid.mu + 1)
+        noise = [
+            {i: rng.choice((-9, -4, 1, 3, 8)) for i in rng.sample(slots, min(3, oid.mu))}
+            for _ in range(oid.nu)
+        ]
+        systems = (perturbed(spec, oid.nu, 1, 1), BorderSystem(oid, noise, spec.ring))
+        for pair in oid.neighbor_pairs:
+            if pair in kept:
+                continue
+            dropped += 1
+            j1, j2, alpha, beta = pair
+            assert beta > 0, (sig, pair)
+            m = oid.border[j1 - 1].mul_var(alpha)
+            n_m = oid.index_of_border.get(m)
+            if n_m is not None:
+                plus, minus = (j1, n_m, alpha, 0), (j2, n_m, beta, 0)
+            else:
+                j0, gamma = first[m]
+                plus, minus = (j0, j2, gamma, beta), (j0, j1, gamma, alpha)
+            assert plus in kept and minus in kept, (sig, pair)
+            for sys in systems:
+                assert _codes(sys, pair) == _difference(_codes(sys, plus), _codes(sys, minus))
+    assert dropped == 47454 - 30429
 
 
 _SMALL = small_signatures(4, 5)

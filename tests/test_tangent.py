@@ -37,6 +37,7 @@ from bordercert.tangent import (
 )
 
 from helpers import (
+    all_pairs_tangent_columns,
     exact_pivots_reference,
     hom_tangent_oracle,
     modp_rank_reference,
@@ -110,10 +111,11 @@ def test_tangent_equations_are_ranked_by_column(monkeypatch):
 
     monkeypatch.setattr("bordercert.tangent.rank_of", capture)
     assert tangent_dimension(spec) == 59
-    # one vector per unknown a_ij, indexed by (neighbor pair, basis
+    # one vector per unknown a_ij, indexed by (generating pair, basis
     # monomial), empty ones included, since `rank_of` drops empty rows
     # itself; the system is tall, so far fewer vectors than equations
-    n_equations = oid.mu * len(spec.neighbor_pairs())
+    n_equations = oid.mu * len(oid.generating_pairs)
+    assert n_equations < oid.mu * len(oid.neighbor_pairs)
     assert len(seen) == oid.mu * oid.nu < n_equations
     assert any(vec for vec in seen)
     assert all(0 <= eq < n_equations and v for vec in seen for eq, v in vec.items())
@@ -128,6 +130,21 @@ def test_repeated_tangent_columns_keep_their_rank():
     cols = [vec for vec in checked_columns(spec) if vec]
     assert rank_of(cols, "exact") == exact_rank(cols) == 72
     assert rank_of(cols, "prime") == modp_rank(cols) == 72
+
+
+@pytest.mark.parametrize(
+    "sig, rank",
+    [((3, 2, 3, 2, 0), 72), ((5, 2, 3, 3, 1), 435), ((3, 4, 6, 2, 1), 654), ((5, 2, 3, 3, 0), 778)],
+)
+def test_generating_pairs_keep_the_rank_of_every_pair(sig, rank):
+    """The equations of the generating pairs have the rank of those of every
+    neighbor pair, in both fields; at (3,2,3,2,0) columns repeat."""
+    oid, spec = _modified_specialized(Signature(*sig))
+    kept, every = checked_columns(spec), all_pairs_tangent_columns(spec)
+    assert max(eq for vec in kept for eq in vec) < oid.mu * len(oid.generating_pairs)
+    assert max(eq for vec in every for eq in vec) >= oid.mu * len(oid.generating_pairs)
+    for field in ("exact", "prime"):
+        assert rank_of(kept, field) == rank_of(every, field) == rank
 
 
 def test_prime_field_agrees_with_exact():
