@@ -86,15 +86,8 @@ class SpanElement:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             v = terms.get(m)
-            v = c if v is None else v + c
-            if v:
-                terms[m] = v
-            else:
-                terms.pop(m, None)
+            terms[m] = c if v is None else v + c
         return SpanElement(terms)
-
-    def __sub__(self, other: "SpanElement") -> "SpanElement":
-        return self + other.scaled(-1)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -265,7 +258,6 @@ def s_polynomial(sys: BorderSystem, j1: int, j2: int, alpha: int, beta: int) -> 
     if lhs != rhs:
         raise ArgumentError(f"({j1},{j2},{alpha},{beta}) is not a neighbor pair")
     basis = oid.basis
-    f = SpanElement()
     terms: Dict[Monomial, object] = {}
     for i, y in sys.tails[j2 - 1].items():
         t = basis[i - 1] if beta == 0 else basis[i - 1].mul_var(beta)
@@ -275,8 +267,7 @@ def s_polynomial(sys: BorderSystem, j1: int, j2: int, alpha: int, beta: int) -> 
         t = basis[i - 1].mul_var(alpha)
         v = terms.get(t)
         terms[t] = -y if v is None else v - y
-    f.terms = {m: c for m, c in terms.items() if c}
-    return f
+    return SpanElement(terms)
 
 
 def _s_codes(products, tail1, alpha: int, tail2, beta: int) -> Dict[int, object]:

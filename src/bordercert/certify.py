@@ -16,7 +16,7 @@ against dim(U) and the principal dimension.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from .borderbasis import (
@@ -60,37 +60,17 @@ class CertificationReport:
 
 
 def report_to_json_dict(report: CertificationReport, include_timings: bool = True) -> dict:
-    """Schema-stable dict: fixed key order, exact integers."""
-    out = {
-        "signature": list(report.signature.as_tuple()),
-        "mu": report.mu,
-        "hilbert": list(report.hilbert),
-        "ell": report.ell,
-        "tau": report.tau,
-        "gamma": report.gamma,
-        "eta": report.eta,
-        "dimU": report.dimU,
-        "principalDim": report.principalDim,
-        "verificationMode": report.verificationMode,
-        "powers": report.powers,
-        "trials": [
-            {"seed": t["seed"], "tangentDim": t["tangentDim"], "field": t["field"]}
-            for t in report.trials
-        ],
-        "verdict": report.verdict,
-        "evidence": list(report.evidence),
-    }
+    """Schema-stable dict: the report's fields in declaration order, exact integers."""
+    out = {f.name: getattr(report, f.name) for f in fields(report)}
+    out["signature"] = list(report.signature.as_tuple())
+    out["hilbert"] = list(report.hilbert)
+    out["trials"] = [dict(t) for t in report.trials]
+    out["evidence"] = list(report.evidence)
     if include_timings:
         out["timings"] = {k: round(v, 6) for k, v in report.timings.items()}
-    out["toolVersion"] = report.toolVersion
+    else:
+        del out["timings"]
     return out
-
-
-def generic_system(sig: Signature):
-    """The order ideal of `sig`, its tail indeterminates and the modified generic system."""
-    oid = build(sig)
-    registry = IndeterminateRegistry(oid)
-    return oid, registry, build_generic_modification(oid, registry)
 
 
 def certify(
@@ -107,7 +87,9 @@ def certify(
     evidence: List[str] = []
 
     t0 = time.perf_counter()
-    oid, registry, system = generic_system(sig)
+    oid = build(sig)
+    registry = IndeterminateRegistry(oid)
+    system = build_generic_modification(oid, registry)
     timings["build"] = time.perf_counter() - t0
 
     family_dim = dim_U(oid)
@@ -163,7 +145,7 @@ def certify(
             f"trial tangent dimensions disagree ({dims}); reporting the minimum"
         )
 
-    if not verified or min_tangent is None:
+    if not verified:
         verdict = "INCONCLUSIVE"
     elif min_tangent == family_dim and field_kind == "exact":
         verdict = "ELEMENTARY_CERTIFIED"
@@ -193,7 +175,6 @@ def certify(
         verdict=verdict,
         evidence=evidence,
         timings=timings,
-        toolVersion=__version__,
     )
 
 

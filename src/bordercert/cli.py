@@ -20,18 +20,12 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Tuple
 
-from .borderbasis import is_border_basis, specialize_system
-from .certify import (
-    certify,
-    generic_system,
-    inspect_signature,
-    report_to_json_dict,
-)
+from .borderbasis import is_border_basis
+from .certify import certify, inspect_signature, report_to_json_dict
 from .linalg import FIELDS
-from .modification import build_targets, render_targets
+from .modification import build_generic_modification, build_targets, render_targets
 from .monomial import ArgumentError, InternalInvariantError
 from .orderideal import Signature, build, shape_to_signature
-from .tangent import dim_U, random_assignment, tangent_dimension
 from .version import __version__
 
 EXIT_OK = 0
@@ -141,8 +135,7 @@ def _cmd_modify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _, _, system = generic_system(_signature(args))
-    ok, failures = is_border_basis(system)
+    ok, failures = is_border_basis(build_generic_modification(build(_signature(args))))
     print(f"symbolic border-basis check: {'ok' if ok else 'FAILED'}")
     for pair, residue in failures[:5]:
         print(f"  pair {pair}: residue {residue}", file=sys.stderr)
@@ -150,11 +143,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_tangent(args: argparse.Namespace) -> int:
-    oid, registry, system = generic_system(_signature(args))
-    spec = specialize_system(system, random_assignment(registry, args.seed))
-    tangent = tangent_dimension(spec, args.field)
+    report = certify(_signature(args), trials=1, field_kind=args.field, seed=args.seed)
+    tangent = report.trials[0]["tangentDim"]
+    if tangent is None:  # the symbolic check failed
+        for note in report.evidence:
+            print(f"note: {note}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     print(f"tangentDim {tangent}")
-    print(f"dimU       {dim_U(oid)}")
+    print(f"dimU       {report.dimU}")
     print(f"field      {args.field}")
     print(f"seed       {args.seed}")
     return EXIT_OK

@@ -147,11 +147,7 @@ def install_targets(base: BorderSystem, targets: Dict[int, SpanElement]) -> Bord
             if i is None:
                 raise InternalInvariantError(f"target of b[{j}] contains non-basis monomial {t}")
             y = tail.get(i)
-            y = -c if y is None else y - c
-            if y:
-                tail[i] = y
-            else:
-                tail.pop(i, None)
+            tail[i] = -c if y is None else y - c
     return BorderSystem(oid, tails, base.ring)
 
 

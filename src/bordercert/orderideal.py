@@ -200,13 +200,6 @@ class OrderIdealData:
         found.sort()
         return tuple(found)
 
-    def __hash__(self) -> int:
-        return hash(self.signature)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, OrderIdealData) and self.signature == other.signature \
-            and self.basis == other.basis
-
 
 def _in_variables_from(m: Monomial, k: int) -> bool:
     """True when m uses only x_k..x_n."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bordercert.borderbasis import (
     BorderSystem,
+    RingSpec,
     SpanElement,
     _s_codes,
     generic_distinguished,
@@ -366,6 +367,24 @@ def test_specialize_system_holds_integer_tails():
     j, i = next((j, i) for j, t in enumerate(sys.tails) for i in t)
     with pytest.raises(ArgumentError):
         sys.tails[j][i] * Fraction(1, 2)
+
+
+def test_border_system_rejects_malformed_tails():
+    oid = build(Signature(3, 2, 3, 2, 1))
+    ring = RingSpec("rational")
+    with pytest.raises(ArgumentError, match=rf"^need one tail per border monomial \({oid.nu}\), got 1$"):
+        BorderSystem(oid, [{}], ring)
+    for i in (0, oid.mu + 1):
+        tails = [{} for _ in range(oid.nu)]
+        tails[-1][i] = 1
+        with pytest.raises(
+            ArgumentError, match=rf"^tail refers to basis index {i} outside 1\.\.{oid.mu}$"
+        ):
+            BorderSystem(oid, tails, ring)
+    # zero coefficients are dropped on construction, in the given order
+    tails = [{} for _ in range(oid.nu)]
+    tails[0] = {3: 1, 1: 0, 2: -1}
+    assert list(BorderSystem(oid, tails, ring).tails[0].items()) == [(3, 1), (2, -1)]
 
 
 @pytest.mark.parametrize("sig", [Signature(3, 2, 3, 2, 1), Signature(3, 2, 3, 2, 0)])

@@ -80,6 +80,35 @@ def test_tangent_mismatch_is_not_certified():
     assert report.trials[0]["tangentDim"] == 142
 
 
+@pytest.mark.parametrize("field_kind", ["exact", "prime"])
+def test_non_principal_only_verdict(field_kind):
+    # the tangent dimension 41 exceeds dim(U) = 36 but stays below n*mu = 48
+    report = certify(Signature(4, 2, 3, 2, 1), trials=1, field_kind=field_kind)
+    assert report.verdict == "NON_PRINCIPAL_ONLY"
+    assert (report.dimU, report.principalDim) == (36, 48)
+    assert report.trials == [{"seed": 1, "tangentDim": 41, "field": field_kind}]
+    assert report.evidence == []
+
+
+def test_disagreeing_trials_report_the_minimum(monkeypatch):
+    dims = iter([61, 59])
+
+    def by_trial(specialized, field_kind):
+        assert field_kind == "prime"
+        return next(dims)
+
+    # `bordercert.certify` is also the re-exported function; patch the module.
+    monkeypatch.setattr(importlib.import_module("bordercert.certify"), "tangent_dimension", by_trial)
+    report = certify(Signature(5, 2, 3, 3, 1), trials=2, field_kind="prime")
+    assert [(t["seed"], t["tangentDim"]) for t in report.trials] == [(1, 61), (2, 59)]
+    assert report.verdict == "INCONCLUSIVE"
+    assert report.evidence == [
+        "trial tangent dimensions disagree ([59, 61]); reporting the minimum",
+        "prime-field tangent dimension matches the family dimension; "
+        "an exact-rational trial is required for certification",
+    ]
+
+
 def test_report_json_schema():
     report = certify(Signature(5, 2, 3, 3, 1), trials=1)
     payload = report_to_json_dict(report)
@@ -103,7 +132,7 @@ def test_certify_argument_errors(monkeypatch):
         raise AssertionError("the system was built before the arguments were checked")
 
     # `bordercert.certify` is also the re-exported function; patch the module.
-    monkeypatch.setattr(importlib.import_module("bordercert.certify"), "generic_system", never)
+    monkeypatch.setattr(importlib.import_module("bordercert.certify"), "build", never)
     with pytest.raises(ArgumentError):
         certify(Signature(5, 2, 3, 3, 1), trials=0)
     with pytest.raises(ArgumentError):

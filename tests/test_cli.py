@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import subprocess
 import sys
@@ -11,7 +12,9 @@ import pytest
 
 from bordercert import cli
 from bordercert.cli import _build_parser, main
+from bordercert.coeffring import CoeffPoly
 from bordercert.monomial import InternalInvariantError
+from helpers import perturbed
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -116,6 +119,29 @@ def test_tangent_single_specialization(capsys):
     assert code == 0
     assert "tangentDim 59" in out
     assert "dimU       59" in out
+
+
+def test_exact_tangent_is_one_certify_trial(capsys, monkeypatch):
+    def never(rows):
+        raise AssertionError("the witness certificate should have held")
+
+    monkeypatch.setattr(importlib.import_module("bordercert.linalg"), "exact_rank", never)
+    code, out, err = run(["tangent", "--signature", "5,2,3,3,1", "--seed", "2"], capsys)
+    assert (code, err) == (0, "")
+    assert out == "tangentDim 59\ndimU       59\nfield      exact\nseed       2\n"
+
+
+def test_tangent_after_a_failed_symbolic_check_exits_3(capsys, monkeypatch):
+    module = importlib.import_module("bordercert.certify")
+    real = module.build_generic_modification
+    monkeypatch.setattr(
+        module,
+        "build_generic_modification",
+        lambda oid, registry: perturbed(real(oid, registry), 1, 3, CoeffPoly.constant(registry, 1)),
+    )
+    code, out, err = run(["tangent", "--signature", "5,2,3,3,1"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("note: symbolic border-basis check failed: pair ")
 
 
 # ---------------------------------------------------------------------------
