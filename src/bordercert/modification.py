@@ -15,17 +15,26 @@ and dividing the result exactly by the first back variable.
 Adding the target of b_j to its generator turns Y_ij into
 C_ij (trailing slots of a leading monomial) minus the t_i-coefficient of the
 target; `install_targets` performs exactly that bookkeeping.  Targets are
-plain dicts {1-based border index: SpanElement}; absent entries mean zero.
+plain dicts {1-based border index: {1-based basis index: coefficient}}, the
+shape of the tails they are added to; absent entries mean zero.  Every
+product of a target term with a variable is read from the order ideal's
+product table (`OrderIdealData.products`): step 2 walks each term along m'
+one variable at a time, and step 3 multiplies by x_delta with one
+multiplication map of the partial system.  A term that would leave the basis
+raises `InternalInvariantError` where it arises.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .borderbasis import BorderSystem, SpanElement, generic_distinguished, reduce
+from .borderbasis import BorderSystem, SpanElement, generic_distinguished
 from .coeffring import CoeffPoly, IndeterminateRegistry
 from .monomial import ArgumentError, InternalInvariantError, Monomial
 from .orderideal import OrderIdealData
+
+# {border index: {basis index: coefficient}}, the shape of the tails
+_Targets = Dict[int, Dict[int, object]]
 
 
 def _lead_block(oid: OrderIdealData, e: int):
@@ -34,9 +43,7 @@ def _lead_block(oid: OrderIdealData, e: int):
     return [m for m in oid.s_lead if m.exps[sig.delta - 1] == sig.r - e]
 
 
-def _propagated(
-    oid: OrderIdealData, block, source_target: SpanElement
-) -> Dict[int, SpanElement]:
+def _propagated(oid: OrderIdealData, block, source_target: Dict[int, object]):
     """Move the target of top = block[0] to every other member m of its block.
 
     Each term t becomes t * m / top, and that division must be exact.  This is
@@ -48,24 +55,25 @@ def _propagated(
     top = block[0]
     out = {oid.index_of_border[top]: source_target}
     for m in block[1:]:
-        moved: Dict[Monomial, object] = {}
-        for t, c in source_target.terms.items():
-            q = t.mul(m).try_div(top)
+        shift = [a - b for a, b in zip(m.exps, top.exps)]
+        moved = {}
+        for i, c in source_target.items():
+            t = oid.basis[i - 1]
+            exps = [a + d for a, d in zip(t.exps, shift)]
+            q = oid.index_of_basis.get(Monomial(exps)) if min(exps) >= 0 else None
             if q is None:
-                raise InternalInvariantError(f"term {t} of the target of {top} does not move to {m}")
+                raise InternalInvariantError(f"target term {t} of {top} does not move to {m}")
             moved[q] = c
-        out[oid.index_of_border[m]] = SpanElement(moved)
+        out[oid.index_of_border[m]] = moved
     return out
 
 
-def step1(oid: OrderIdealData, registry: IndeterminateRegistry) -> Dict[int, SpanElement]:
+def step1(oid: OrderIdealData, registry: IndeterminateRegistry) -> _Targets:
     """Seed the top degree-r block with the free target coefficients."""
-    seed = SpanElement(
-        {
-            t: CoeffPoly.indeterminate(registry, registry.theta_id(q))
-            for q, t in enumerate(oid.tar_double_prime, start=1)
-        }
-    )
+    seed = {
+        oid.index_of_basis[t]: CoeffPoly.indeterminate(registry, registry.theta_id(q))
+        for q, t in enumerate(oid.tar_double_prime, start=1)
+    }
     return _propagated(oid, _lead_block(oid, oid.signature.w), seed)
 
 
@@ -94,61 +102,64 @@ def _deep_factorization(oid: OrderIdealData, b: Monomial):
     return m_prime, b_src
 
 
-def step2(oid: OrderIdealData, targets: Dict[int, SpanElement]) -> Dict[int, SpanElement]:
+def step2(oid: OrderIdealData, targets: _Targets) -> _Targets:
     """Extend the targets to the deeper target-bearing border monomials."""
     sig = oid.signature
+    basis, products = oid.basis, oid.products
     out = dict(targets)
     for b in oid.s_deep:
         m_prime, b_src = _deep_factorization(oid, b)
         src = targets.get(oid.index_of_border[b_src])
         if src is None:
             raise ArgumentError("step2 requires the degree-r targets from step1")
+        walk = [k for k, e in enumerate(m_prime.exps, start=1) for _ in range(e)]
         # targets stop at degree s, so drop a term before m' would lift it past s
         bound = sig.s - m_prime.degree
-        out[oid.index_of_border[b]] = SpanElement(
-            {t.mul(m_prime): c for t, c in src.terms.items() if t.degree <= bound}
-        )
+        moved = {}
+        for i, c in src.items():
+            if basis[i - 1].degree > bound:
+                continue
+            code = i
+            for k in walk:
+                code = products[code][k]
+                if code < 0:  # a border code: products[code] would read another row
+                    raise InternalInvariantError(f"{basis[i - 1]} * {m_prime} leaves the basis")
+            moved[code] = c
+        out[oid.index_of_border[b]] = moved
     return out
 
 
-def step3(
-    oid: OrderIdealData, targets: Dict[int, SpanElement], sys_so_far: BorderSystem
-) -> Dict[int, SpanElement]:
+def step3(oid: OrderIdealData, targets: _Targets, sys_so_far: BorderSystem) -> _Targets:
     """Fill the remaining degree-r blocks by reduce-and-divide, top down."""
     sig = oid.signature
     delta, back = sig.delta, sig.delta + 1
-    x_delta = Monomial.variable(sig.n, delta)
     out = dict(targets)
     for e in range(sig.w, 0, -1):
         top = _lead_block(oid, e)[0]
         current = out.get(oid.index_of_border[top])
         if current is None:
             raise ArgumentError(f"step3 requires the target of {top} before extending below it")
-        reduced = reduce(current.monomial_multiple(x_delta), sys_so_far)
-        shifted: Dict[Monomial, object] = {}
-        for t, c in reduced.terms.items():
+        shifted = {}
+        for i, c in sys_so_far._times_variable(current, delta).items():
+            t = oid.basis[i - 1]
             if t.var_degree(back) < e:
                 raise InternalInvariantError(
                     f"reduction of x{delta}*target({top}) is not divisible by x{back}^{e}"
                 )
-            shifted[t.div_var(back)] = c
-        out.update(_propagated(oid, _lead_block(oid, e - 1), SpanElement(shifted)))
+            shifted[oid.index_of_basis[t.div_var(back)]] = c
+        out.update(_propagated(oid, _lead_block(oid, e - 1), shifted))
     return out
 
 
-def install_targets(base: BorderSystem, targets: Dict[int, SpanElement]) -> BorderSystem:
+def install_targets(base: BorderSystem, targets: _Targets) -> BorderSystem:
     """Add each target into its generator: Y_ij -= coefficient of t_i in the target."""
-    oid = base.oid
     tails = [dict(t) for t in base.tails]
     for j, target in targets.items():
         tail = tails[j - 1]
-        for t, c in target.terms.items():
-            i = oid.index_of_basis.get(t)
-            if i is None:
-                raise InternalInvariantError(f"target of b[{j}] contains non-basis monomial {t}")
+        for i, c in target.items():
             y = tail.get(i)
             tail[i] = -c if y is None else y - c
-    return BorderSystem(oid, tails, base.ring)
+    return BorderSystem(base.oid, tails, base.ring)
 
 
 def _build(oid: OrderIdealData, registry: Optional[IndeterminateRegistry]):
@@ -165,7 +176,7 @@ def _build(oid: OrderIdealData, registry: Optional[IndeterminateRegistry]):
 
 def build_targets(
     oid: OrderIdealData, registry: Optional[IndeterminateRegistry] = None
-) -> Dict[int, SpanElement]:
+) -> _Targets:
     """Run the three steps and validate the resulting targets."""
     return _build(oid, registry)[0]
 
@@ -184,41 +195,36 @@ def build_generic_modification(
     return sys
 
 
-def _validate_targets(
-    oid: OrderIdealData, targets: Dict[int, SpanElement], registry: IndeterminateRegistry
-) -> None:
+def _validate_targets(oid: OrderIdealData, targets: _Targets, registry: IndeterminateRegistry):
     sig = oid.signature
-    expected = {oid.index_of_border[m] for m in oid.s_lead} | {
-        oid.index_of_border[m] for m in oid.s_deep
-    }
+    expected = {oid.index_of_border[m] for m in oid.s_lead + oid.s_deep}
     if set(targets) != expected:
         raise InternalInvariantError("targets must cover exactly the target-bearing border monomials")
-    tar_prime_set = set(oid.tar_prime)
-    tar_all_set = set(oid.tar_all)
     theta_ids = {registry.theta_id(q) for q in range(1, oid.gamma + 1)}
     for j, target in targets.items():
-        b = oid.border[j - 1]
-        deep = b.degree > sig.r
-        for t, c in target.terms.items():
-            if deep:
-                if t not in tar_all_set or not b.degree <= t.degree <= sig.s:
-                    raise InternalInvariantError(
-                        f"deep target of b[{j}] has an out-of-range term {t}"
-                    )
-            elif t not in tar_prime_set:
-                raise InternalInvariantError(f"lead target of b[{j}] has term {t} outside the pool")
+        # a lead target lies in degrees r..s-1, a deep one in deg(b_j)..s
+        low = oid.border[j - 1].degree
+        high = sig.s - 1 if low == sig.r else sig.s
+        for i, c in target.items():
+            t = oid.basis[i - 1]
+            if not low <= t.degree <= high:
+                raise InternalInvariantError(f"target of b[{j}] has {t} outside {low}..{high}")
             if not c.indeterminates() <= theta_ids:
                 raise InternalInvariantError("target coefficients must involve only theta's")
     # the first back variable divides the target of each block top to the block's depth
     for e in range(0, sig.w + 1):
         top = _lead_block(oid, e)[0]
-        for t in targets[oid.index_of_border[top]].terms:
-            if t.var_degree(sig.delta + 1) < e:
+        for i in targets[oid.index_of_border[top]]:
+            if oid.basis[i - 1].var_degree(sig.delta + 1) < e:
                 raise InternalInvariantError(
                     f"target of {top} violates the back-variable divisibility of its block"
                 )
 
 
-def render_targets(oid: OrderIdealData, targets: Dict[int, SpanElement]) -> str:
+def render_targets(oid: OrderIdealData, targets: _Targets) -> str:
     """One line 'Upsilon(b[j]) = <polynomial>' per target, by border index."""
-    return "\n".join(f"Upsilon(b[{j}]) = {targets[j]}" for j in sorted(targets))
+    basis = oid.basis
+    return "\n".join(
+        f"Upsilon(b[{j}]) = {SpanElement({basis[i - 1]: c for i, c in targets[j].items()})}"
+        for j in sorted(targets)
+    )

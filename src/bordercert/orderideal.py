@@ -10,13 +10,14 @@ The variables split into *front* (x_1..x_(delta-1)), *middle* (x_delta) and
 the special subsets the downstream construction consumes: the degree-r border
 monomials at or above the lex-minimal one (`leading`), the top-degree basis
 monomials (`trailing`), the pools of admissible target terms, and the border
-monomials that will actually carry targets (`s_lead` and `s_deep`).  Three
-more derived structures live here because they depend on the order ideal
-alone: the product table (`OrderIdealData.products`, where each t_i * x_k
-lies, as a basis or border index), the neighbor pairs
-(`OrderIdealData.neighbor_pairs`) and the subset of them whose S-polynomials
-span all the others (`OrderIdealData.generating_pairs`), each computed once
-per order ideal on first use, and the translation frame
+monomials that will actually carry targets (`s_lead` and `s_deep`).  One
+pass over the exponent tuples of every t_i * x_k gives both the border (the
+products outside the basis) and the product table (`OrderIdealData.products`,
+where each t_i * x_k lies, as a basis or border index).  Three more derived
+structures live here because they depend on the order ideal alone: the
+neighbor pairs (`OrderIdealData.neighbor_pairs`) and the subset of them whose
+S-polynomials span all the others (`OrderIdealData.generating_pairs`), each
+computed once per order ideal on first use, and the translation frame
 (`translation_frame`).
 """
 
@@ -100,6 +101,12 @@ class OrderIdealData:
     target coefficients.  ``s_lead`` / ``s_deep`` are the border monomials in
     x_delta..x_n of degree r and of degree r+1..s: exactly the generators
     whose tails receive targets.
+
+    ``products[i][k]`` locates t_i * x_k for 1 <= i <= mu and 0 <= k <= n,
+    with x_0 = 1: a basis index i' is stored as i', a border index j as -j.
+    Every such product lies in the basis or its border, so these mu*(n+1)
+    codes are all a neighbor-pair reduction reads.  ``products[0]`` is empty,
+    keeping i 1-based like the tails.
     """
 
     signature: Signature
@@ -120,28 +127,7 @@ class OrderIdealData:
     gamma: int
     ell: int
     tau: int
-
-    @cached_property
-    def products(self) -> Tuple[Tuple[int, ...], ...]:
-        """Where each product of a basis monomial with a variable lies.
-
-        ``products[i][k]`` locates t_i * x_k for 1 <= i <= mu and 0 <= k <= n,
-        with x_0 = 1: a basis index i' is stored as i', a border index j as
-        -j.  Every such product lies in the basis or its border, so these
-        mu*(n+1) codes are all a neighbor-pair reduction reads.
-        ``products[0]`` is empty, keeping i 1-based like the tails.
-        """
-        n = self.signature.n
-        code = {m.exps: i for m, i in self.index_of_basis.items()}
-        code.update((m.exps, -j) for m, j in self.index_of_border.items())
-        table = [()]
-        for t in self.basis:
-            exps = t.exps
-            row = [code[exps]]
-            for k in range(n):
-                row.append(code[exps[:k] + (exps[k] + 1,) + exps[k + 1 :]])
-            table.append(tuple(row))
-        return tuple(table)
+    products: Tuple[Tuple[int, ...], ...] = field(repr=False)
 
     def _pair_groups(self) -> List[Tuple[Optional[int], List[Tuple[int, int]]]]:
         """The products x_alpha * b_j grouped by monomial m, as (j_next,
@@ -219,17 +205,20 @@ def build(sig: Signature) -> OrderIdealData:
         basis_by_degree.append([m for m in monomials_of(n, delta, d) if cmp_lex(bound, m) > 0])
 
     basis: List[Monomial] = [m for level in basis_by_degree for m in level]
-    basis_set = set(basis)
     index_of_basis = {m: i for i, m in enumerate(basis, start=1)}
 
-    border_set = set()
-    for t in basis:
-        for k in range(1, n + 1):
-            m = t.mul_var(k)
-            if m not in basis_set:
-                border_set.add(m)
-    border = sorted(border_set, key=negdeglex_key)
+    # every t_i * x_k as an exponent tuple; those outside the basis are the border
+    code = {m.exps: i for m, i in index_of_basis.items()}
+    raised = [
+        [e[:k] + (e[k] + 1,) + e[k + 1 :] for k in range(n)] for e in (t.exps for t in basis)
+    ]
+    outside = {p for row in raised for p in row if p not in code}
+    border = sorted(map(Monomial, outside), key=negdeglex_key)
     index_of_border = {m: j for j, m in enumerate(border, start=1)}
+    code.update((m.exps, -j) for m, j in index_of_border.items())
+    products = ((),) + tuple(
+        (i, *(code[p] for p in row)) for i, row in enumerate(raised, start=1)
+    )
 
     hilbert = tuple(len(level) for level in basis_by_degree)
 
@@ -265,6 +254,7 @@ def build(sig: Signature) -> OrderIdealData:
         gamma=len(tar_double_prime),
         ell=ell,
         tau=len(trailing),
+        products=products,
     )
 
     if tuple(b for b in border if b.degree == r) != leading:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from bordercert import Signature
-from bordercert.borderbasis import BorderSystem, _s_codes
+from bordercert.borderbasis import BorderSystem, SpanElement, _s_codes
 from bordercert.linalg import _by_column_count
 from bordercert.monomial import InternalInvariantError, Monomial, cmp_lex, monomials_of
 
@@ -387,3 +387,9 @@ def deep_factorization_reference(oid, b):
         raise InternalInvariantError(f"no factorization of deep target monomial {b}")
     m_prime = candidates[-1]
     return m_prime, b.try_div(m_prime)
+
+
+def target_span(oid, target):
+    """A target {basis index: coefficient} as the SpanElement of its basis
+    monomials, so expected targets stay written in monomials."""
+    return SpanElement({oid.basis[i - 1]: c for i, c in target.items()})

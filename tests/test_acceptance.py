@@ -44,6 +44,7 @@ from helpers import (
     membership_rows,
     paper_table_signatures,
     small_signatures,
+    target_span,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -95,7 +96,7 @@ def test_criterion_1_golden_target_assignment():
             Monomial((0, 1, 4)): th[6] - th[1] * th[5] - th[2] * th[4],
             Monomial((0, 0, 5)): CoeffPoly.zero(registry) - th[1] * th[6] - th[3] * th[4],
         }
-        shallow = tm.get(oid.index_of_border[Monomial((0, 4, 0))])
+        shallow = target_span(oid, tm[oid.index_of_border[Monomial((0, 4, 0))]])
         assert dict(shallow.terms) == expected
 
 
@@ -112,7 +113,7 @@ def test_criterion_2_golden_modification_rows():
         th = [None] + [
             CoeffPoly.indeterminate(registry, registry.theta_id(q)) for q in range(1, 6)
         ]
-        row = tm.get(oid.index_of_border[Monomial((0, 0, 2, 1, 0))])
+        row = target_span(oid, tm[oid.index_of_border[Monomial((0, 0, 2, 1, 0))]])
         assert dict(row.terms) == {
             Monomial((0, 0, 1, 2, 0)): th[1],
             Monomial((0, 0, 1, 1, 1)): th[2],

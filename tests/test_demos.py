@@ -1,4 +1,5 @@
-"""Every narrative script under demos/, and the README's Library block, runs against the package."""
+"""Every narrative script under demos/, and the README's Library block, runs against the
+package with warnings as errors."""
 
 from __future__ import annotations
 
@@ -18,7 +19,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error", str(demo)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -29,7 +35,12 @@ def test_readme_library_block_prints_documented_output():
     code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error", "-c", code],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "86 86\nELEMENTARY_CERTIFIED\n"

@@ -11,11 +11,14 @@ from pathlib import Path
 
 import pytest
 
+from bordercert import modification
 from bordercert.borderbasis import SpanElement, generic_distinguished, is_border_basis
 from bordercert.coeffring import CoeffPoly, IndeterminateRegistry
 from bordercert.modification import (
     _deep_factorization,
     _lead_block,
+    _propagated,
+    _validate_targets,
     build_generic_modification,
     build_targets,
     install_targets,
@@ -24,9 +27,15 @@ from bordercert.modification import (
     step2,
     step3,
 )
-from bordercert.monomial import ArgumentError, Monomial
+from bordercert.monomial import ArgumentError, InternalInvariantError, Monomial
 from bordercert.orderideal import Signature, build
-from helpers import deep_factorization_reference, lex_block, min_variable, small_signatures
+from helpers import (
+    deep_factorization_reference,
+    lex_block,
+    min_variable,
+    small_signatures,
+    target_span,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -62,7 +71,7 @@ def test_step1_seeds_the_top_block():
             Monomial((0, 0, 5)): _theta(reg, 6),
         }
     )
-    assert tm[12] == expected
+    assert target_span(oid, tm[12]) == expected
 
 
 def test_step1_spreads_across_a_wider_block():
@@ -73,7 +82,7 @@ def test_step1_spreads_across_a_wider_block():
     indices = sorted(tm)
     assert indices == [oid.index_of_border[m] for m in oid.s_lead]
     assert len(indices) == 1  # w=0: block {x3^2 >= m >= x3^2}
-    seeded = tm[oid.index_of_border[Monomial((0, 0, 2, 0, 0))]]
+    seeded = target_span(oid, tm[oid.index_of_border[Monomial((0, 0, 2, 0, 0))]])
     assert seeded == SpanElement(
         {
             Monomial((0, 0, 1, 1, 0)): _theta(reg, 1),
@@ -90,7 +99,7 @@ def test_step2_multiplies_and_truncates():
     reg = IndeterminateRegistry(oid)
     tm = step2(oid, step1(oid, reg))
     # b[20] = x2^3*x3^3 = x3^2 * b[12]; degree-7 products are dropped
-    assert tm[20] == SpanElement(
+    assert target_span(oid, tm[20]) == SpanElement(
         {
             Monomial((0, 2, 4)): _theta(reg, 1),
             Monomial((0, 1, 5)): _theta(reg, 2),
@@ -98,7 +107,7 @@ def test_step2_multiplies_and_truncates():
         }
     )
     # b[16] = x2^3*x3^2 keeps all six shifted terms
-    assert len(tm[16].terms) == 6
+    assert len(tm[16]) == 6
     assert set(tm) == {12, 16, 20}
 
 
@@ -127,7 +136,7 @@ def test_step3_reduce_and_divide_golden():
             Monomial((0, 0, 5)): -(t[1] * t[6]) - t[3] * t[4],
         }
     )
-    assert tm[11] == expected
+    assert target_span(oid, tm[11]) == expected
 
 
 def test_step3_requires_earlier_steps():
@@ -154,12 +163,13 @@ def test_deep_factorization_is_choice_independent():
         top_block = [m for m in oid.s_lead if m.var_degree(sig.delta) == sig.r - sig.w]
         checked = 0
         for b in oid.s_deep:
-            target = tm[oid.index_of_border[b]]
+            target = target_span(oid, tm[oid.index_of_border[b]])
             for src in top_block:
                 m_prime = b.try_div(src)
                 if m_prime is None or min_variable(m_prime) <= sig.delta:
                     continue
-                shifted = tm[oid.index_of_border[src]].monomial_multiple(m_prime)
+                source = target_span(oid, tm[oid.index_of_border[src]])
+                shifted = source.monomial_multiple(m_prime)
                 truncated = SpanElement(
                     {t: c for t, c in shifted.terms.items() if t.degree <= sig.s}
                 )
@@ -191,11 +201,11 @@ def test_deep_targets_transport_along_paths():
             top = block[0]
             for b in block[1:]:
                 moved = {}
-                for t, c in tm[oid.index_of_border[top]].terms.items():
+                for t, c in target_span(oid, tm[oid.index_of_border[top]]).terms.items():
                     q = t.mul(b).try_div(top)
                     assert q is not None
                     moved[q] = c
-                assert SpanElement(moved) == tm[oid.index_of_border[b]]
+                assert SpanElement(moved) == target_span(oid, tm[oid.index_of_border[b]])
 
 
 def test_target_invariants_across_grid():
@@ -213,14 +223,14 @@ def test_target_invariants_across_grid():
         assert set(tm) == targeted
         pool_prime = set(oid.tar_prime)
         for m in oid.s_lead:
-            target = tm[oid.index_of_border[m]]
+            target = target_span(oid, tm[oid.index_of_border[m]])
             for t, c in target.terms.items():
                 assert t in pool_prime
                 assert c.indeterminates() <= {
                     reg.theta_id(q) for q in range(1, oid.gamma + 1)
                 }
         for m in oid.s_deep:
-            target = tm[oid.index_of_border[m]]
+            target = target_span(oid, tm[oid.index_of_border[m]])
             for t in target.terms:
                 assert m.degree <= t.degree <= sig.s
                 assert t in set(oid.tar_all)
@@ -233,7 +243,7 @@ def test_block_depth_divisibility():
     tm = build_targets(oid)
     for m in oid.s_lead:
         e = sig.r - m.var_degree(sig.delta)  # depth of the block m heads
-        target = tm[oid.index_of_border[m]]
+        target = target_span(oid, tm[oid.index_of_border[m]])
         for t in target.terms:
             assert t.var_degree(sig.delta + 1) >= e
 
@@ -254,7 +264,7 @@ def test_modified_system_tail_shape():
         assert str(tail12[i]) == f"C[{i},12]"
     # a deep generator is not a leading one: pure minus-target tail
     tail16 = sys.tail(16)
-    deep_target = tm[16]
+    deep_target = target_span(oid, tm[16])
     assert set(tail16) == {oid.index_of_basis[t] for t in deep_target.terms}
     for t, c in deep_target.terms.items():
         assert tail16[oid.index_of_basis[t]] == -c
@@ -274,6 +284,8 @@ def test_modified_system_tail_shape():
 
 
 def test_modified_system_is_a_border_basis_symbolically():
+    # the two systems of the `verify` benchmark workload, with its tail-term counts
+    tail_terms = {Signature(6, 2, 5, 1, 1): 3291, Signature(6, 4, 5, 1, 1): 2801}
     for sig in (
         Signature(3, 2, 3, 2, 1),
         Signature(3, 4, 6, 2, 1),
@@ -282,10 +294,51 @@ def test_modified_system_is_a_border_basis_symbolically():
         Signature(5, 2, 3, 3, 0),
         Signature(3, 2, 4, 1, 1),
         Signature(4, 3, 4, 2, 1),
+        *tail_terms,
     ):
         sys = build_generic_modification(build(sig))
         ok, failures = is_border_basis(sys)
         assert ok, (sig, failures[:1])
+        if sig in tail_terms:
+            assert sys.total_tail_terms() == tail_terms[sig], sig
+
+
+def test_planted_target_faults_raise_invariant_errors(monkeypatch):
+    """Each broken modification invariant raises `InternalInvariantError`."""
+    oid = build(Signature(3, 4, 6, 2, 1))
+    reg = IndeterminateRegistry(oid)
+    tm = build_targets(oid, reg)
+    lead, deep = oid.index_of_border[oid.s_lead[0]], oid.index_of_border[oid.s_deep[0]]
+
+    def planted(j, i, c):
+        faulty = dict(tm)
+        faulty[j] = {**tm[j], i: c}
+        _validate_targets(oid, faulty, reg)
+
+    with pytest.raises(InternalInvariantError, match="outside"):
+        planted(lead, oid.index_of_basis[oid.trailing[-1]], _theta(reg, 1))  # degree s
+    with pytest.raises(InternalInvariantError, match="outside"):
+        planted(deep, oid.index_of_basis[oid.tar_prime[0]], _theta(reg, 1))  # degree r
+    c_slot = CoeffPoly.indeterminate(reg, 0)  # C[i,j] of the first tail slot
+    with pytest.raises(InternalInvariantError, match="only theta"):
+        planted(lead, next(iter(tm[lead])), _theta(reg, 1) + c_slot)
+
+    # a source term whose move leaves the basis, and one whose move is no division
+    top, other = oid.s_lead[1], oid.s_lead[0]  # x2^3*x3 moved to x2^4
+    for t in (Monomial((0, 2, 2)), Monomial((1, 0, 0))):
+        with pytest.raises(InternalInvariantError, match="does not move"):
+            _propagated(oid, [top, other], {oid.index_of_basis[t]: _theta(reg, 1)})
+
+    # an m' carrying x1 sends the step-2 walk onto a border code
+    split = modification._deep_factorization
+
+    def split_with_x1(oid, b):
+        m_prime, b_src = split(oid, b)
+        return m_prime.mul_var(1), b_src
+
+    monkeypatch.setattr(modification, "_deep_factorization", split_with_x1)
+    with pytest.raises(InternalInvariantError, match="leaves the basis"):
+        build_targets(oid, reg)
 
 
 def test_render_targets_golden_files():
