@@ -31,6 +31,7 @@ from .monomial import ArgumentError
 from .orderideal import Signature, build, translation_frame
 from .tangent import (
     checked_columns,
+    corner_columns,
     dim_U,
     random_assignment,
     tangent_dimension,
@@ -127,7 +128,9 @@ def certify(
             row["tangentDim"] = tangent_dimension(specialized, field_kind)
             continue
         columns = checked_columns(specialized)
-        if witness_certificate(system, assignment, specialized, columns):
+        # Part (a) of the certificate reads the columns unfolded.
+        folded = corner_columns(oid, [dict(vec) for vec in columns])
+        if witness_certificate(system, assignment, specialized, columns, folded):
             row["tangentDim"] = family_dim
             evidence.append(
                 f"trial seed {trial_seed}: witness certificate mod {PRIME}: {family_dim} "
@@ -135,7 +138,7 @@ def certify(
                 f"equations have rank {mu_nu - family_dim} = {mu_nu} - {family_dim}"
             )
         else:
-            row["tangentDim"] = tangent_dimension(specialized, "exact", columns)
+            row["tangentDim"] = tangent_dimension(specialized, "exact", folded)
     timings["tangent"] = time.perf_counter() - t0
 
     dims = sorted({t["tangentDim"] for t in trial_rows if t["tangentDim"] is not None})

@@ -13,6 +13,18 @@ its transpose.  Its coefficients are the normal forms of the product-table
 codes (`BorderSystem.normal_form`) and the pairs' S-polynomials on the same
 codes (`BorderSystem.pair_codes`); no monomial is built or reduced.
 
+Every tangent rank runs over the unknowns of the corner generators, the
+border monomials that are no variable multiple of another one.  Any other
+b_n is x_alpha * b_j, and in the equations of the next-door pair
+(j, n, alpha, 0) its unknowns a_{.,n} form an identity block.
+`corner_columns` folds those blocks into the other columns by unit pivots
+over Z, so the rank is the number of pivots plus the rank of what remains,
+over Q and mod p alike.  This mirrors two facts: a tangent vector in
+Hom_R(I, R/I) is fixed by its values on generators of I, and the tangent
+space of the border basis scheme is that Hom (Kreuzer and Robbiano,
+"Deformations of border bases", 2008); the next-door relations are those of
+Kehrein and Kreuzer (2005).
+
 Coordinate tangent tuples differentiate the constructed family itself: one
 tuple per free tail slot, per free target coefficient, and per translation
 direction.  Their joint rank equals the closed-form family dimension at a
@@ -21,7 +33,7 @@ a proof that the tangent dimension over Q is dim(U): the tuples are exact
 kernel vectors of the tangent equations and independent mod `linalg.PRIME`,
 and the equations have rank mu*nu - dim(U) mod the same prime.  That takes
 two mod-p ranks in place of the exact one; where it fails, exact mode falls
-back to `tangent_dimension` over Q.
+back to `tangent_dimension` over Q, on the same folded columns.
 
 Every tuple is a sparse integer row {column: nonzero value}, as `linalg`
 ranks it: a parameter tuple is a tail gradient at the point, a translation
@@ -35,8 +47,10 @@ A translation tuple multiplies that vector by the shift one variable at a
 time, each step a multiplication map on codes; at a border basis these maps
 commute, so this is the normal form of the partial times the shift.
 `checked_columns` checks a point and assembles its equations once, for the
-certificate and the fallback alike.  Prime mode differs only in that the
-tangent rank is computed modulo `linalg.PRIME`.
+certificate and the fallback alike; exact mode folds a copy, because part
+(a) of the certificate reads the columns as assembled.  Prime mode differs
+only in that the tangent rank is computed modulo `linalg.PRIME`, and folds
+the columns in place.
 """
 
 from __future__ import annotations
@@ -47,7 +61,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .borderbasis import BorderSystem, is_border_basis, specialize_system
 from .coeffring import IndeterminateRegistry, _integer_assignment
-from .linalg import check_field, modp_rank, rank_of
+from . import linalg
+from .linalg import check_field, rank_of
 from .monomial import ArgumentError, InternalInvariantError
 from .orderideal import OrderIdealData, TranslationFrame, translation_frame
 
@@ -133,6 +148,71 @@ def _tangent_columns(sys: BorderSystem) -> List[Dict[int, int]]:
     return cols
 
 
+def corner_columns(
+    oid: OrderIdealData, columns: List[Dict[int, int]]
+) -> Tuple[int, List[Dict[int, int]]]:
+    """Fold the next-door identity blocks of the tangent equations held by
+    `columns` into the other unknowns, in place; return how many unknowns
+    were eliminated and the columns that remain, those of the corners.
+
+    Each border monomial b_n that is no corner pivots on its first kept pair
+    (j, n, alpha, 0), the p-th generating pair: equation `mu*p + k - 1`
+    holds a_{k,n} with coefficient 1 and no other a_{.,n}.  Adding multiples
+    of the pivot column clears its equation from every other column; the
+    equation and the pivot column then add exactly one to the rank.  The
+    steps are unimodular over Z, so this holds over Q and mod `linalg.PRIME`
+    alike.  An earlier step may bend a later pivot; one that is no longer
+    -1 or 1 is skipped, and its unknown stays.
+    """
+    mu = oid.mu
+    first_pair: Dict[int, int] = {}
+    for p, (_, n, _, beta) in enumerate(oid.generating_pairs):
+        if not beta:
+            first_pair.setdefault(n, p)
+    pivots = [
+        (_column(mu, k, n), mu * p + k - 1) for n, p in first_pair.items() for k in range(1, mu + 1)
+    ]
+    # The columns holding each pivot equation still to come.  Only those
+    # are read, and a column is listed again where an entry fills in, so a
+    # column may be listed twice or where its entry has cancelled.
+    holders: Dict[int, List[int]] = {e: [] for _, e in pivots}
+    for u, vec in enumerate(columns):
+        for eq in vec:
+            found = holders.get(eq)
+            if found is not None:
+                found.append(u)
+    gone = set()
+    for u, e in pivots:
+        pivot = columns[u]
+        s = pivot.get(e)
+        if s != 1 and s != -1:
+            continue
+        gone.add(u)
+        # No column holds an equation pivoted earlier, so `found` is None
+        # only where `eq` is no pivot equation.
+        rest = [(eq, -c * s, holders.get(eq)) for eq, c in pivot.items() if eq != e]
+        for v in holders.pop(e):
+            if v in gone:
+                continue
+            vec = columns[v]
+            m = vec.pop(e, 0)
+            if not m:
+                continue
+            for eq, c, found in rest:
+                x = vec.get(eq)
+                if x is None:
+                    vec[eq] = m * c
+                    if found is not None:
+                        found.append(v)
+                else:
+                    x += m * c
+                    if x:
+                        vec[eq] = x
+                    else:
+                        del vec[eq]
+    return len(gone), [vec for u, vec in enumerate(columns) if u not in gone]
+
+
 def _require_border_basis(spec: BorderSystem) -> None:
     ok, failures = is_border_basis(spec)
     if not ok:
@@ -150,19 +230,22 @@ def checked_columns(spec: BorderSystem) -> List[Dict[int, int]]:
 
 
 def tangent_dimension(
-    sys: BorderSystem, field: str = "exact", columns: Optional[List[Dict[int, int]]] = None
+    sys: BorderSystem,
+    field: str = "exact",
+    folded: Optional[Tuple[int, List[Dict[int, int]]]] = None,
 ) -> int:
     """dim of first-order deformations of the border basis at `sys`, with the
     rank taken over Q (field "exact") or modulo `linalg.PRIME` ("prime").
-    `columns`, when given, are `checked_columns(sys)`, so neither the check
-    nor the assembly runs again."""
+    `folded`, when given, is `corner_columns` of `checked_columns(sys)`, so
+    neither the check, the assembly nor the fold runs again."""
     check_field(field)
-    if columns is None:
-        columns = checked_columns(sys)
     oid = sys.oid
+    if folded is None:
+        folded = corner_columns(oid, checked_columns(sys))
+    eliminated, reduced = folded
     # A matrix and its transpose have the same rank; the system is tall, so
     # eliminating its columns leaves far fewer vectors to reduce to zero.
-    dim = oid.mu * oid.nu - rank_of(columns, field)
+    dim = oid.mu * oid.nu - eliminated - rank_of(reduced, field)
     if dim < dim_U(oid):
         raise InternalInvariantError(
             f"tangent dimension {dim} fell below the family dimension {dim_U(oid)}"
@@ -293,23 +376,30 @@ def independence_rank(sys_generic: BorderSystem, assignment) -> int:
 
 
 def witness_certificate(
-    sys_generic: BorderSystem, assignment, spec: BorderSystem, columns: List[Dict[int, int]]
+    sys_generic: BorderSystem,
+    assignment,
+    spec: BorderSystem,
+    columns: List[Dict[int, int]],
+    folded: Tuple[int, List[Dict[int, int]]],
 ) -> bool:
     """Whether the coordinate tuples prove that the tangent dimension at
     `spec` over Q is dim(U).
 
-    `spec` is `sys_generic` specialized at `assignment`, and `columns` are
-    `checked_columns(spec)`.  The certificate has three parts, p = `PRIME`:
-    (c) the columns have rank mu*nu - dim(U) mod p; (a) every coordinate
-    tuple is a kernel vector of the columns over Z; (b) the tuples have rank
-    dim(U) mod p.  A rank mod p is at most the rank over Q, so (a) and (b)
-    give dim(U) <= dim_Q and (c) gives dim_Q <= dim_p = dim(U).  Part (c)
-    runs first and stops as soon as its rank can no longer be reached.
+    `spec` is `sys_generic` specialized at `assignment`, `columns` are
+    `checked_columns(spec)` and `folded` is `corner_columns` of a copy of
+    them.  The certificate has three parts, p = `PRIME`: (c) the columns
+    have rank mu*nu - dim(U) mod p, that is, the folded columns have that
+    rank less the unknowns eliminated; (a) every coordinate tuple is a
+    kernel vector of the columns over Z; (b) the tuples have rank dim(U)
+    mod p.  A rank mod p is at most the rank over Q, so (a) and (b) give
+    dim(U) <= dim_Q and (c) gives dim_Q <= dim_p = dim(U).  Part (c) runs
+    first and stops as soon as its rank can no longer be reached.
     """
     oid = spec.oid
     family = dim_U(oid)
-    target = oid.mu * oid.nu - family
-    if modp_rank(columns, target) != target:
+    eliminated, reduced = folded
+    target = oid.mu * oid.nu - family - eliminated
+    if linalg.modp_rank(reduced, target) != target:
         return False
     point = _point_at(sys_generic, _integer_assignment(sys_generic.ring.registry, assignment), spec)
     tuples = [
@@ -323,4 +413,4 @@ def witness_certificate(
                 image[eq] = image.get(eq, 0) + a * c
         if any(image.values()):
             return False
-    return modp_rank(tuples, family) == family
+    return linalg.modp_rank(tuples, family) == family

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import re
 
 import pytest
@@ -24,10 +25,12 @@ from bordercert.monomial import ArgumentError
 from bordercert.orderideal import Signature, build, translation_frame
 from bordercert.tangent import (
     TangentTuple,
+    _column,
     _tangent_columns,
     checked_columns,
     coordinate_labels,
     coordinate_tangent_tuple,
+    corner_columns,
     dim_U,
     independence_rank,
     random_assignment,
@@ -54,6 +57,25 @@ def _modified_specialized(sig, seed=1):
     system = build_generic_modification(oid, registry)
     assignment = random_assignment(registry, seed)
     return oid, specialize_system(system, assignment)
+
+
+def _identity_pivots(oid):
+    """(unknown, equation) of every next-door identity entry the fold pivots
+    on: a_{k,n} in equation k of the first kept pair (j, n, alpha, 0) of
+    each border monomial b_n that is no corner."""
+    first = {}
+    for p, pair in enumerate(oid.generating_pairs):
+        if pair.beta == 0:
+            first.setdefault(pair.j2, p)
+    return [
+        (_column(oid.mu, k, n), oid.mu * p + k - 1)
+        for n, p in first.items()
+        for k in range(1, oid.mu + 1)
+    ]
+
+
+def _folded_copy(oid, columns):
+    return corner_columns(oid, [dict(vec) for vec in columns])
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +133,20 @@ def test_tangent_equations_are_ranked_by_column(monkeypatch):
 
     monkeypatch.setattr("bordercert.tangent.rank_of", capture)
     assert tangent_dimension(spec) == 59
-    # one vector per unknown a_ij, indexed by (generating pair, basis
-    # monomial), empty ones included, since `rank_of` drops empty rows
-    # itself; the system is tall, so far fewer vectors than equations
+    # one vector per unknown a_ij of the corner generators, indexed by
+    # (generating pair, basis monomial), empty ones included, since
+    # `rank_of` drops empty rows itself; every other unknown was folded out
+    # with its identity equation, and the system is tall, so far fewer
+    # vectors than equations remain
     n_equations = oid.mu * len(oid.generating_pairs)
     assert n_equations < oid.mu * len(oid.neighbor_pairs)
-    assert len(seen) == oid.mu * oid.nu < n_equations
+    pivots = _identity_pivots(oid)
+    assert len(pivots) == 273
+    assert len(seen) == oid.mu * oid.nu - len(pivots) < n_equations - len(pivots)
     assert any(vec for vec in seen)
     assert all(0 <= eq < n_equations and v for vec in seen for eq, v in vec.items())
+    folded_out = {eq for _, eq in pivots}
+    assert not any(eq in folded_out for vec in seen for eq in vec)
 
 
 def test_repeated_tangent_columns_keep_their_rank():
@@ -535,6 +563,75 @@ def test_tangent_columns_where_a_border_code_meets_its_own_pair():
 
 
 # ---------------------------------------------------------------------------
+# the corner fold
+
+
+def _corners(oid):
+    """Border monomials that are no variable multiple of another one."""
+    return [
+        b
+        for b in oid.border
+        if not any(e and b.div_var(a) in oid.index_of_border for a, e in enumerate(b.exps, start=1))
+    ]
+
+
+def test_the_fold_keeps_the_rank_over_the_corner_unknowns():
+    """Folding the next-door identity blocks takes every identity pivot,
+    mu*(nu - c) of them for c corners, and the folded columns have the full
+    rank less that count, over Q and mod p alike."""
+    checked = 0
+    for sig in small_signatures(5, 5):
+        oid = build(sig)
+        if oid.mu * oid.nu > 1500:
+            continue
+        _, spec = _modified_specialized(sig)
+        columns = _tangent_columns(spec)
+        eliminated, reduced = _folded_copy(oid, columns)
+        assert eliminated == oid.mu * (oid.nu - len(_corners(oid))), sig
+        assert len(reduced) == oid.mu * oid.nu - eliminated, sig
+        assert eliminated + modp_rank(reduced) == modp_rank(columns), sig
+        assert eliminated + exact_rank(reduced) == exact_rank(columns), sig
+        checked += 1
+    assert checked == 83
+
+
+def test_a_bent_identity_pivot_is_skipped():
+    """An identity entry that is no longer -1 or 1 is no unit pivot: its
+    unknown stays, and the rank identity still holds in both fields."""
+    oid, spec = _modified_specialized(Signature(5, 2, 3, 3, 1))
+    bent = _tangent_columns(spec)
+    u, e = _identity_pivots(oid)[0]
+    assert bent[u][e] == 1
+    bent[u][e] = 2
+    full = {"exact": exact_rank(bent), "prime": modp_rank(bent)}
+    eliminated, reduced = corner_columns(oid, bent)
+    assert eliminated == len(_identity_pivots(oid)) - 1 == 272
+    assert len(reduced) == oid.mu * oid.nu - 272
+    assert any(vec is bent[u] for vec in reduced)
+    assert eliminated + exact_rank(reduced) == full["exact"]
+    assert eliminated + modp_rank(reduced) == full["prime"]
+
+
+def test_exact_certify_leaves_the_columns_unfolded(monkeypatch):
+    """Part (a) multiplies the tuples against the columns as assembled;
+    exact mode folds a copy for part (c) and the fallback."""
+    certify_module = importlib.import_module("bordercert.certify")
+    seen = []
+
+    def refused(sys_generic, assignment, spec, columns, folded):
+        seen.append((spec, columns, folded))
+        return False
+
+    monkeypatch.setattr(certify_module, "witness_certificate", refused)
+    report = certify_module.certify(Signature(5, 2, 3, 3, 1), trials=1)
+    assert [t["tangentDim"] for t in report.trials] == [59]
+    ((spec, columns, (eliminated, reduced)),) = seen
+    assert columns == _tangent_columns(spec)
+    assert eliminated == 273 and len(reduced) == 494 - 273
+    assert not any(vec is col for vec in reduced for col in columns)
+
+
+# ---------------------------------------------------------------------------
 # the rank kernels on tangent columns
 
 
@@ -591,7 +688,8 @@ def witness_fixture():
     system = build_generic_modification(oid, registry)
     assignment = random_assignment(registry, seed=1)
     spec = specialize_system(system, assignment)
-    return system, assignment, spec, checked_columns(spec)
+    columns = checked_columns(spec)
+    return system, assignment, spec, columns, _folded_copy(oid, columns)
 
 
 def test_witness_certificate_holds_at_a_general_point(witness_fixture):
@@ -603,7 +701,7 @@ def test_witness_certificate_holds_at_a_general_point(witness_fixture):
 def test_witness_certificate_refuses_a_perturbed_tuple_entry(witness_fixture, data):
     # an entry on an empty column leaves a kernel vector, so only entries on
     # columns that meet an equation are perturbed
-    system, assignment, spec, columns = witness_fixture
+    system, assignment, spec, columns, folded = witness_fixture
     chi = data.draw(st.sampled_from(coordinate_labels(system)))
     col = data.draw(st.sampled_from([c for c, vec in enumerate(columns) if vec]))
     delta = data.draw(st.integers(-3, 3).filter(bool))
@@ -617,13 +715,13 @@ def test_witness_certificate_refuses_a_perturbed_tuple_entry(witness_fixture, da
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("bordercert.tangent.coordinate_tangent_tuple", bent)
-        assert not witness_certificate(system, assignment, spec, columns)
+        assert not witness_certificate(system, assignment, spec, columns, folded)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_witness_certificate_refuses_a_perturbed_tail(witness_fixture, data):
-    system, assignment, spec, _ = witness_fixture
+    system, assignment, spec, _, _ = witness_fixture
     j = data.draw(st.integers(1, spec.oid.nu))
     i = data.draw(st.integers(1, spec.oid.mu))
     bad = perturbed(spec, j, i, 1)
@@ -633,31 +731,41 @@ def test_witness_certificate_refuses_a_perturbed_tail(witness_fixture, data):
             checked_columns(bad)
     # either way the tuples of the true point are no witness for the columns
     # of the perturbed one
-    assert not witness_certificate(system, assignment, spec, _tangent_columns(bad))
+    columns = _tangent_columns(bad)
+    assert not witness_certificate(
+        system, assignment, spec, columns, _folded_copy(bad.oid, columns)
+    )
 
 
 def test_witness_certificate_stops_early_where_it_fails(monkeypatch):
     # At (3,4,6,2,1) the tangent dimension is 129, far above dim(U) = 50, so
-    # part (c) gives up long before the columns reach their rank 783 - 129.
+    # part (c) gives up long before the folded columns reach their rank
+    # 783 - 129 - 348: the fold eliminates 348 of the 783 unknowns.
     oid = build(Signature(3, 4, 6, 2, 1))
     registry = IndeterminateRegistry(oid)
     system = build_generic_modification(oid, registry)
     assignment = random_assignment(registry, seed=1)
     spec = specialize_system(system, assignment)
     columns = checked_columns(spec)
+    folded = _folded_copy(oid, columns)
+    eliminated, reduced = folded
+    assert eliminated == len(_identity_pivots(oid)) == 348
+    linalg = importlib.import_module("bordercert.linalg")
+    real = linalg.modp_rank
     ranks = []
 
     def recorded(rows, at_least=0):
-        ranks.append((at_least, modp_rank(rows, at_least)))
+        ranks.append((at_least, real(rows, at_least)))
         return ranks[-1][1]
 
-    monkeypatch.setattr("bordercert.tangent.modp_rank", recorded)
-    assert not witness_certificate(system, assignment, spec, columns)
+    monkeypatch.setattr(linalg, "modp_rank", recorded)
+    assert not witness_certificate(system, assignment, spec, columns, folded)
     assert len(ranks) == 1
     target, got = ranks[0]
-    assert target == oid.mu * oid.nu - dim_U(oid) == 733
-    assert got < 654 == modp_rank([vec for vec in columns if vec])
-    assert tangent_dimension(spec, "exact", columns) == 129
+    assert target == oid.mu * oid.nu - dim_U(oid) - eliminated == 733 - 348
+    assert got < 654 - 348 == real([vec for vec in reduced if vec])
+    assert real([vec for vec in columns if vec]) == 654
+    assert tangent_dimension(spec, "exact", folded) == 129
 
 
 if __name__ == "__main__":
