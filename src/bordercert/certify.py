@@ -128,8 +128,7 @@ def certify(
             row["tangentDim"] = tangent_dimension(specialized, field_kind)
             continue
         columns = checked_columns(specialized)
-        # Part (a) of the certificate reads the columns unfolded.
-        folded = corner_columns(oid, [dict(vec) for vec in columns])
+        folded = corner_columns(oid, columns)
         if witness_certificate(system, assignment, specialized, columns, folded):
             row["tangentDim"] = family_dim
             evidence.append(

@@ -18,8 +18,9 @@ border monomials that are no variable multiple of another one.  Any other
 b_n is x_alpha * b_j, and in the equations of the next-door pair
 (j, n, alpha, 0) its unknowns a_{.,n} form an identity block.
 `corner_columns` folds those blocks into the other columns by unit pivots
-over Z, so the rank is the number of pivots plus the rank of what remains,
-over Q and mod p alike.  This mirrors two facts: a tangent vector in
+over Z and leaves its input as it is.  The tangent dimension is the nullity
+of the folded system, the unknowns left less the rank of what remains, over
+Q and mod p alike.  This mirrors two facts: a tangent vector in
 Hom_R(I, R/I) is fixed by its values on generators of I, and the tangent
 space of the border basis scheme is that Hom (Kreuzer and Robbiano,
 "Deformations of border bases", 2008); the next-door relations are those of
@@ -31,7 +32,7 @@ direction.  Their joint rank equals the closed-form family dimension at a
 sufficiently general specialization.  `witness_certificate` turns them into
 a proof that the tangent dimension over Q is dim(U): the tuples are exact
 kernel vectors of the tangent equations and independent mod `linalg.PRIME`,
-and the equations have rank mu*nu - dim(U) mod the same prime.  That takes
+and the folded system has nullity dim(U) mod the same prime.  That takes
 two mod-p ranks in place of the exact one; where it fails, exact mode falls
 back to `tangent_dimension` over Q, on the same folded columns.
 
@@ -46,11 +47,10 @@ basis or border monomial, so one `normal_form` call on its codes reduces it.
 A translation tuple multiplies that vector by the shift one variable at a
 time, each step a multiplication map on codes; at a border basis these maps
 commute, so this is the normal form of the partial times the shift.
-`checked_columns` checks a point and assembles its equations once, for the
-certificate and the fallback alike; exact mode folds a copy, because part
-(a) of the certificate reads the columns as assembled.  Prime mode differs
-only in that the tangent rank is computed modulo `linalg.PRIME`, and folds
-the columns in place.
+`checked_columns` checks a point and assembles its equations once, and
+exact mode folds them once, for the certificate and the fallback alike;
+part (a) of the certificate reads the columns as assembled.  Prime mode
+differs only in that the tangent rank is computed modulo `linalg.PRIME`.
 """
 
 from __future__ import annotations
@@ -148,21 +148,20 @@ def _tangent_columns(sys: BorderSystem) -> List[Dict[int, int]]:
     return cols
 
 
-def corner_columns(
-    oid: OrderIdealData, columns: List[Dict[int, int]]
-) -> Tuple[int, List[Dict[int, int]]]:
-    """Fold the next-door identity blocks of the tangent equations held by
-    `columns` into the other unknowns, in place; return how many unknowns
-    were eliminated and the columns that remain, those of the corners.
+def corner_columns(oid: OrderIdealData, columns: List[Dict[int, int]]) -> List[Dict[int, int]]:
+    """The tangent equations held by `columns` with their next-door identity
+    blocks folded into the other unknowns: the columns that remain, those of
+    the corners.  `columns` and its dicts are left as they are; a column is
+    copied the first time a step writes into it, and the others are shared.
 
     Each border monomial b_n that is no corner pivots on its first kept pair
     (j, n, alpha, 0), the p-th generating pair: equation `mu*p + k - 1`
     holds a_{k,n} with coefficient 1 and no other a_{.,n}.  Adding multiples
     of the pivot column clears its equation from every other column; the
     equation and the pivot column then add exactly one to the rank.  The
-    steps are unimodular over Z, so this holds over Q and mod `linalg.PRIME`
-    alike.  An earlier step may bend a later pivot; one that is no longer
-    -1 or 1 is skipped, and its unknown stays.
+    steps are unimodular over Z, so the nullity is kept over Q and mod
+    `linalg.PRIME` alike.  An earlier step may bend a later pivot; one that
+    is no longer -1 or 1 is skipped, and its unknown stays.
     """
     mu = oid.mu
     first_pair: Dict[int, int] = {}
@@ -181,9 +180,10 @@ def corner_columns(
             found = holders.get(eq)
             if found is not None:
                 found.append(u)
+    work: Dict[int, Dict[int, int]] = {}
     gone = set()
     for u, e in pivots:
-        pivot = columns[u]
+        pivot = work.get(u, columns[u])
         s = pivot.get(e)
         if s != 1 and s != -1:
             continue
@@ -194,7 +194,9 @@ def corner_columns(
         for v in holders.pop(e):
             if v in gone:
                 continue
-            vec = columns[v]
+            vec = work.get(v)
+            if vec is None:
+                vec = work[v] = dict(columns[v])
             m = vec.pop(e, 0)
             if not m:
                 continue
@@ -210,7 +212,7 @@ def corner_columns(
                         vec[eq] = x
                     else:
                         del vec[eq]
-    return len(gone), [vec for u, vec in enumerate(columns) if u not in gone]
+    return [work.get(u, vec) for u, vec in enumerate(columns) if u not in gone]
 
 
 def _require_border_basis(spec: BorderSystem) -> None:
@@ -230,22 +232,20 @@ def checked_columns(spec: BorderSystem) -> List[Dict[int, int]]:
 
 
 def tangent_dimension(
-    sys: BorderSystem,
-    field: str = "exact",
-    folded: Optional[Tuple[int, List[Dict[int, int]]]] = None,
+    sys: BorderSystem, field: str = "exact", folded: Optional[List[Dict[int, int]]] = None
 ) -> int:
     """dim of first-order deformations of the border basis at `sys`, with the
-    rank taken over Q (field "exact") or modulo `linalg.PRIME` ("prime").
-    `folded`, when given, is `corner_columns` of `checked_columns(sys)`, so
-    neither the check, the assembly nor the fold runs again."""
+    rank taken over Q (field "exact") or modulo `linalg.PRIME` ("prime"):
+    the nullity of the folded system.  `folded`, when given, is
+    `corner_columns` of `checked_columns(sys)`, so neither the check, the
+    assembly nor the fold runs again."""
     check_field(field)
     oid = sys.oid
     if folded is None:
         folded = corner_columns(oid, checked_columns(sys))
-    eliminated, reduced = folded
     # A matrix and its transpose have the same rank; the system is tall, so
     # eliminating its columns leaves far fewer vectors to reduce to zero.
-    dim = oid.mu * oid.nu - eliminated - rank_of(reduced, field)
+    dim = len(folded) - rank_of(folded, field)
     if dim < dim_U(oid):
         raise InternalInvariantError(
             f"tangent dimension {dim} fell below the family dimension {dim_U(oid)}"
@@ -380,26 +380,24 @@ def witness_certificate(
     assignment,
     spec: BorderSystem,
     columns: List[Dict[int, int]],
-    folded: Tuple[int, List[Dict[int, int]]],
+    folded: List[Dict[int, int]],
 ) -> bool:
     """Whether the coordinate tuples prove that the tangent dimension at
     `spec` over Q is dim(U).
 
     `spec` is `sys_generic` specialized at `assignment`, `columns` are
-    `checked_columns(spec)` and `folded` is `corner_columns` of a copy of
-    them.  The certificate has three parts, p = `PRIME`: (c) the columns
-    have rank mu*nu - dim(U) mod p, that is, the folded columns have that
-    rank less the unknowns eliminated; (a) every coordinate tuple is a
-    kernel vector of the columns over Z; (b) the tuples have rank dim(U)
-    mod p.  A rank mod p is at most the rank over Q, so (a) and (b) give
-    dim(U) <= dim_Q and (c) gives dim_Q <= dim_p = dim(U).  Part (c) runs
-    first and stops as soon as its rank can no longer be reached.
+    `checked_columns(spec)` and `folded` is `corner_columns` of them.  The
+    certificate has three parts, p = `PRIME`: (c) the columns have nullity
+    dim(U) mod p, that is, the folded columns have rank len(folded) - dim(U);
+    (a) every coordinate tuple is a kernel vector of the columns as
+    assembled, over Z; (b) the tuples have rank dim(U) mod p.  A rank mod p
+    is at most the rank over Q, so (a) and (b) give dim(U) <= dim_Q and (c)
+    gives dim_Q <= dim_p = dim(U).  Part (c) runs first and stops as soon as
+    its rank can no longer be reached.
     """
-    oid = spec.oid
-    family = dim_U(oid)
-    eliminated, reduced = folded
-    target = oid.mu * oid.nu - family - eliminated
-    if linalg.modp_rank(reduced, target) != target:
+    family = dim_U(spec.oid)
+    target = len(folded) - family
+    if linalg.modp_rank(folded, target) != target:
         return False
     point = _point_at(sys_generic, _integer_assignment(sys_generic.ring.registry, assignment), spec)
     tuples = [

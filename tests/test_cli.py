@@ -179,6 +179,8 @@ def test_certify_json_byte_identical(capsys, tmp_path):
     [
         ("certify_5_2_3_3_1", 0, ["--signature", "5,2,3,3,1", "--trials", "2", "--seed", "9"]),
         ("certify_5_2_3_3_0_prime", 3, ["--signature", "5,2,3,3,0", "--field", "prime", "--trials", "1"]),
+        # every trial's certificate fails and takes the exact fallback
+        ("certify_4_2_3_2_1", 0, ["--signature", "4,2,3,2,1", "--trials", "2"]),
     ],
 )
 def test_certify_report_matches_golden(capsys, tmp_path, golden, code, flags):

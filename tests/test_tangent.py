@@ -74,10 +74,6 @@ def _identity_pivots(oid):
     ]
 
 
-def _folded_copy(oid, columns):
-    return corner_columns(oid, [dict(vec) for vec in columns])
-
-
 # ---------------------------------------------------------------------------
 # dim_U
 
@@ -577,8 +573,8 @@ def _corners(oid):
 
 def test_the_fold_keeps_the_rank_over_the_corner_unknowns():
     """Folding the next-door identity blocks takes every identity pivot,
-    mu*(nu - c) of them for c corners, and the folded columns have the full
-    rank less that count, over Q and mod p alike."""
+    mu*(nu - c) of them for c corners, leaves the columns as assembled, and
+    keeps the nullity, over Q and mod p alike."""
     checked = 0
     for sig in small_signatures(5, 5):
         oid = build(sig)
@@ -586,11 +582,12 @@ def test_the_fold_keeps_the_rank_over_the_corner_unknowns():
             continue
         _, spec = _modified_specialized(sig)
         columns = _tangent_columns(spec)
-        eliminated, reduced = _folded_copy(oid, columns)
-        assert eliminated == oid.mu * (oid.nu - len(_corners(oid))), sig
-        assert len(reduced) == oid.mu * oid.nu - eliminated, sig
-        assert eliminated + modp_rank(reduced) == modp_rank(columns), sig
-        assert eliminated + exact_rank(reduced) == exact_rank(columns), sig
+        reduced = corner_columns(oid, columns)
+        assert columns == _tangent_columns(spec), sig
+        assert len(columns) == oid.mu * oid.nu, sig
+        assert len(columns) - len(reduced) == oid.mu * (oid.nu - len(_corners(oid))), sig
+        for rank in (modp_rank, exact_rank):
+            assert len(reduced) - rank(reduced) == len(columns) - rank(columns), (sig, rank)
         checked += 1
     assert checked == 83
 
@@ -600,21 +597,25 @@ def test_a_bent_identity_pivot_is_skipped():
     unknown stays, and the rank identity still holds in both fields."""
     oid, spec = _modified_specialized(Signature(5, 2, 3, 3, 1))
     bent = _tangent_columns(spec)
-    u, e = _identity_pivots(oid)[0]
+    pivots = _identity_pivots(oid)
+    u, e = pivots[0]
     assert bent[u][e] == 1
     bent[u][e] = 2
     full = {"exact": exact_rank(bent), "prime": modp_rank(bent)}
-    eliminated, reduced = corner_columns(oid, bent)
-    assert eliminated == len(_identity_pivots(oid)) - 1 == 272
-    assert len(reduced) == oid.mu * oid.nu - 272
-    assert any(vec is bent[u] for vec in reduced)
+    reduced = corner_columns(oid, bent)
+    eliminated = oid.mu * oid.nu - len(reduced)
+    assert eliminated == len(pivots) - 1 == 272
+    # the bent column is the only pivot column kept, and it still holds 2
+    gone = {w for w, _ in pivots[1:]}
+    kept = [w for w in range(oid.mu * oid.nu) if w not in gone]
+    assert reduced[kept.index(u)][e] == 2
     assert eliminated + exact_rank(reduced) == full["exact"]
     assert eliminated + modp_rank(reduced) == full["prime"]
 
 
 def test_exact_certify_leaves_the_columns_unfolded(monkeypatch):
     """Part (a) multiplies the tuples against the columns as assembled;
-    exact mode folds a copy for part (c) and the fallback."""
+    exact mode folds them once per trial, for part (c) and the fallback."""
     certify_module = importlib.import_module("bordercert.certify")
     seen = []
 
@@ -622,13 +623,40 @@ def test_exact_certify_leaves_the_columns_unfolded(monkeypatch):
         seen.append((spec, columns, folded))
         return False
 
-    monkeypatch.setattr(certify_module, "witness_certificate", refused)
-    report = certify_module.certify(Signature(5, 2, 3, 3, 1), trials=1)
+    with monkeypatch.context() as mp:
+        mp.setattr(certify_module, "witness_certificate", refused)
+        report = certify_module.certify(Signature(5, 2, 3, 3, 1), trials=1)
     assert [t["tangentDim"] for t in report.trials] == [59]
-    ((spec, columns, (eliminated, reduced)),) = seen
+    ((spec, columns, reduced),) = seen
     assert columns == _tangent_columns(spec)
-    assert eliminated == 273 and len(reduced) == 494 - 273
-    assert not any(vec is col for vec in reduced for col in columns)
+    assert len(columns) - len(reduced) == 273 and len(reduced) == 494 - 273
+
+    # At (3,4,6,2,1) every certificate fails, so each trial falls back to
+    # the exact rank of the very list its certificate got, folded once.
+    folds, certified, fallbacks = [], [], []
+    real_fold = certify_module.corner_columns
+    real_certificate = certify_module.witness_certificate
+    real_dimension = certify_module.tangent_dimension
+
+    def fold(oid, columns):
+        folds.append(real_fold(oid, columns))
+        return folds[-1]
+
+    def certificate(sys_generic, assignment, spec, columns, folded):
+        certified.append(folded)
+        return real_certificate(sys_generic, assignment, spec, columns, folded)
+
+    def dimension(sys, field="exact", folded=None):
+        fallbacks.append(folded)
+        return real_dimension(sys, field, folded)
+
+    monkeypatch.setattr(certify_module, "corner_columns", fold)
+    monkeypatch.setattr(certify_module, "witness_certificate", certificate)
+    monkeypatch.setattr(certify_module, "tangent_dimension", dimension)
+    report = certify_module.certify(Signature(3, 4, 6, 2, 1), trials=3)
+    assert [t["tangentDim"] for t in report.trials] == [129, 129, 129]
+    assert len(folds) == len(certified) == len(fallbacks) == 3
+    assert all(f is c is d for f, c, d in zip(folds, certified, fallbacks))
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +717,7 @@ def witness_fixture():
     assignment = random_assignment(registry, seed=1)
     spec = specialize_system(system, assignment)
     columns = checked_columns(spec)
-    return system, assignment, spec, columns, _folded_copy(oid, columns)
+    return system, assignment, spec, columns, corner_columns(oid, columns)
 
 
 def test_witness_certificate_holds_at_a_general_point(witness_fixture):
@@ -733,7 +761,7 @@ def test_witness_certificate_refuses_a_perturbed_tail(witness_fixture, data):
     # of the perturbed one
     columns = _tangent_columns(bad)
     assert not witness_certificate(
-        system, assignment, spec, columns, _folded_copy(bad.oid, columns)
+        system, assignment, spec, columns, corner_columns(bad.oid, columns)
     )
 
 
@@ -747,8 +775,8 @@ def test_witness_certificate_stops_early_where_it_fails(monkeypatch):
     assignment = random_assignment(registry, seed=1)
     spec = specialize_system(system, assignment)
     columns = checked_columns(spec)
-    folded = _folded_copy(oid, columns)
-    eliminated, reduced = folded
+    folded = corner_columns(oid, columns)
+    eliminated = len(columns) - len(folded)
     assert eliminated == len(_identity_pivots(oid)) == 348
     linalg = importlib.import_module("bordercert.linalg")
     real = linalg.modp_rank
@@ -763,7 +791,7 @@ def test_witness_certificate_stops_early_where_it_fails(monkeypatch):
     assert len(ranks) == 1
     target, got = ranks[0]
     assert target == oid.mu * oid.nu - dim_U(oid) - eliminated == 733 - 348
-    assert got < 654 - 348 == real([vec for vec in reduced if vec])
+    assert got < 654 - 348 == real([vec for vec in folded if vec])
     assert real([vec for vec in columns if vec]) == 654
     assert tangent_dimension(spec, "exact", folded) == 129
 
