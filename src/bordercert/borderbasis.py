@@ -63,17 +63,6 @@ class SpanElement:
     def __init__(self, terms: Optional[Dict[Monomial, object]] = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
 
-    @classmethod
-    def single(cls, m: Monomial, c) -> "SpanElement":
-        return cls({m: c})
-
-    def support(self):
-        return set(self.terms)
-
-    def coefficient(self, m: Monomial):
-        """Coefficient of a monomial; plain 0 when absent."""
-        return self.terms.get(m, 0)
-
     def scaled(self, c) -> "SpanElement":
         if not c:
             return SpanElement()
@@ -157,21 +146,16 @@ class BorderSystem:
         self.tails = tuple({i: c for i, c in tail.items() if c} for tail in tails)
         self.ring = ring
 
-    # ------------------------------------------------------------ accessors
-
-    def tail(self, j: int) -> Dict[int, object]:
-        return dict(self.tails[j - 1])
-
-    def tail_span(self, j: int) -> SpanElement:
-        basis = self.oid.basis
-        return SpanElement({basis[i - 1]: c for i, c in self.tails[j - 1].items()})
-
     def generator(self, j: int) -> SpanElement:
         """The full generator g_j = b_j - tail_j."""
-        f = SpanElement.single(self.oid.border[j - 1], self.ring.one())
-        return f + self.tail_span(j).scaled(-1)
+        basis = self.oid.basis
+        terms = {basis[i - 1]: -c for i, c in self.tails[j - 1].items()}
+        terms[self.oid.border[j - 1]] = self.ring.one()
+        return SpanElement(terms)
 
     def neighbor_pairs(self) -> Tuple[NeighborPair, ...]:
+        """`OrderIdealData.neighbor_pairs`, read through the system by
+        `is_border_basis`, perfbench and demo 03."""
         return self.oid.neighbor_pairs
 
     def pair_codes(self) -> Iterator[Tuple[NeighborPair, Dict[int, object]]]:

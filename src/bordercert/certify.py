@@ -81,6 +81,9 @@ def certify(
     seed: int = 1,
 ) -> CertificationReport:
     """Run the whole pipeline for one signature."""
+    for name, value in (("trials", trials), ("seed", seed)):
+        if type(value) is not int:
+            raise ArgumentError(f"{name} must be an int, got {value!r}")
     if trials < 1:
         raise ArgumentError("at least one trial is required")
     check_field(field_kind)

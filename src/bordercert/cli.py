@@ -36,12 +36,10 @@ EXIT_INTERNAL = 4
 
 def _parse_ints(text: str, count: int, what: str) -> List[int]:
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != count or not all(p.lstrip("-").isdigit() for p in parts if p):
+    # isdecimal, not isdigit: "²".isdigit() holds, but int("²") raises
+    if len(parts) != count or not all(p.removeprefix("-").isdecimal() for p in parts):
         raise ArgumentError(f"{what} must be {count} comma-separated integers, got {text!r}")
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise ArgumentError(f"{what} must be {count} comma-separated integers, got {text!r}")
+    return [int(p) for p in parts]
 
 
 def _trial_count(text: str) -> int:

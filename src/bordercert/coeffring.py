@@ -47,12 +47,6 @@ class IndeterminateRegistry:
     def __len__(self) -> int:
         return len(self.names)
 
-    def c_id(self, i: int, j: int) -> int:
-        try:
-            return self._id_of_name[f"C[{i},{j}]"]
-        except KeyError:
-            raise ArgumentError(f"no tail slot C[{i},{j}] in this registry") from None
-
     def theta_id(self, q: int) -> int:
         try:
             return self._id_of_name[f"theta[{q}]"]
@@ -64,9 +58,6 @@ class IndeterminateRegistry:
             return self._id_of_name[name]
         except KeyError:
             raise ArgumentError(f"unknown indeterminate {name!r}") from None
-
-    def name_of(self, ind_id: int) -> str:
-        return self.names[ind_id]
 
 
 def _as_int(value) -> int:
@@ -165,12 +156,6 @@ class CoeffPoly:
     def constant_term(self) -> int:
         return self.terms.get((), 0)
 
-    def degree(self) -> int:
-        """Total degree in the indeterminates; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e for _, e in key) for key in self.terms)
-
     def indeterminates(self) -> set:
         return {ind for key in self.terms for ind, _ in key}
 
@@ -211,7 +196,7 @@ class CoeffPoly:
         for key, c in self._sorted_terms():
             factors = []
             for ind, e in key:
-                name = self.registry.name_of(ind)
+                name = self.registry.names[ind]
                 factors.append(name if e == 1 else f"{name}^{e}")
             if not factors:
                 body = str(abs(c))
@@ -249,10 +234,10 @@ def _integer_assignment(registry: IndeterminateRegistry, assignment: Mapping) ->
         if not isinstance(ind, int) or not 0 <= ind < len(registry):
             raise ArgumentError(f"unknown indeterminate {key!r}")
         if not isinstance(raw, Rational) or raw.denominator != 1:
-            raise ArgumentError(f"{registry.name_of(ind)} must take an integer value, got {raw}")
+            raise ArgumentError(f"{registry.names[ind]} must take an integer value, got {raw}")
         values[ind] = int(raw)
     missing = set(range(len(registry))) - set(values)
     if missing:
-        names = ", ".join(registry.name_of(i) for i in sorted(missing)[:5])
+        names = ", ".join(registry.names[i] for i in sorted(missing)[:5])
         raise ArgumentError(f"assignment misses {len(missing)} indeterminates ({names}, ...)")
     return values

@@ -101,9 +101,6 @@ class Monomial:
         _check_same_ambient(self, other)
         return all(a <= b for a, b in zip(self.exps, other.exps))
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return self.mul(other)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self.exps == other.exps
 

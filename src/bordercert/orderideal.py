@@ -299,9 +299,7 @@ class TranslationFrame:
     """
 
     anchors: Dict[int, Monomial]
-    anchor_index: Dict[int, int]
     delta_sets: Dict[int, List[Monomial]]
-    key_basis_index: Dict[Tuple[int, int], int]
     eta: int
 
     def labels(self) -> List[str]:
@@ -311,17 +309,15 @@ class TranslationFrame:
                 out.append(f"Z[{alpha},{lam}]")
         return out
 
-    def size(self) -> int:
-        return sum(len(v) for v in self.delta_sets.values())
-
 
 def translation_frame(oid: OrderIdealData) -> TranslationFrame:
-    """Anchor border monomials, shift sets and key basis slots of the translations.
+    """Anchor border monomials and shift sets of the translations.
 
     For every variable x_alpha the anchor is the border monomial
     x_alpha * x_n^(r-1) for a front variable, else x_alpha * x_n^s; its shift
     monomials are listed in negdeglex order with 1 first.  The key slot of
-    (alpha, lambda) is the basis index of (anchor / x_alpha) * shift.  ``eta``
+    (alpha, lambda) is (i, j) with t_i = (anchor / x_alpha) * shift and
+    b_j = anchor, and every such t_i must lie in the basis.  ``eta``
     is the common size of the front shift sets, 0 when there are no front
     variables.
     """
@@ -329,17 +325,14 @@ def translation_frame(oid: OrderIdealData) -> TranslationFrame:
     n, r, s, delta = sig.n, sig.r, sig.s, sig.delta
     x_n_pow = Monomial.variable(n, n, r - 1)
     anchors: Dict[int, Monomial] = {}
-    anchor_index: Dict[int, int] = {}
     for alpha in range(1, n + 1):
         if alpha < delta:
             b = x_n_pow.mul_var(alpha)
         else:
             b = Monomial.variable(n, n, s).mul_var(alpha)
-        j = oid.index_of_border.get(b)
-        if j is None:
+        if b not in oid.index_of_border:
             raise InternalInvariantError(f"translation anchor {b} is not a border monomial")
         anchors[alpha] = b
-        anchor_index[alpha] = j
 
     tar_prime_set = set(oid.tar_prime)
     front_shifts: List[Monomial] = []
@@ -355,15 +348,12 @@ def translation_frame(oid: OrderIdealData) -> TranslationFrame:
     for alpha in range(delta, n + 1):
         delta_sets[alpha] = [Monomial.unit(n)]
 
-    key_index: Dict[Tuple[int, int], int] = {}
     for alpha, b in anchors.items():
         stem = b.div_var(alpha)
-        for lam, m in enumerate(delta_sets[alpha], start=1):
+        for m in delta_sets[alpha]:
             t = stem.mul(m)
-            i = oid.index_of_basis.get(t)
-            if i is None:
+            if t not in oid.index_of_basis:
                 raise InternalInvariantError(f"key monomial {t} for x{alpha} is not in the basis")
-            key_index[(alpha, lam)] = i
 
     eta = len(front_shifts) if delta > 1 else 0
-    return TranslationFrame(anchors, anchor_index, delta_sets, key_index, eta)
+    return TranslationFrame(anchors, delta_sets, eta)

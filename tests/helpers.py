@@ -196,9 +196,25 @@ def basis_of_degree(oid, d):
     return oid.basis[lo : lo + oid.hilbert[d]]
 
 
+def tail_span(sys, j):
+    """The tail of b_j as a combination of basis monomials."""
+    basis = sys.oid.basis
+    return SpanElement({basis[i - 1]: c for i, c in sys.tails[j - 1].items()})
+
+
 def render_system(sys):
     """One line per border monomial: the rewrite rule b_j = tail."""
-    return "\n".join(f"{b} = {sys.tail_span(j)}" for j, b in enumerate(sys.oid.border, start=1))
+    return "\n".join(f"{b} = {tail_span(sys, j)}" for j, b in enumerate(sys.oid.border, start=1))
+
+
+def key_slots(oid, frame):
+    """The key tail slot (i, j) of each translation direction (alpha, lambda)
+    of `frame`: t_i = (anchor / x_alpha) * shift, and b_j is the anchor."""
+    return {
+        (alpha, lam): (oid.index_of_basis[b.div_var(alpha).mul(m)], oid.index_of_border[b])
+        for alpha, b in frame.anchors.items()
+        for lam, m in enumerate(frame.delta_sets[alpha], start=1)
+    }
 
 
 def _strip_content(row):

@@ -40,6 +40,7 @@ from bordercert.tangent import (
 from helpers import (
     as_dense_row,
     fraction_rank,
+    key_slots,
     lex_block,
     membership_rows,
     paper_table_signatures,
@@ -309,10 +310,7 @@ def test_criterion_8f_coordinate_tuple_patterns():
             for b in oid.s_deep
             for t in oid.tar_all
         }
-        key_slot = {
-            (alpha, lam): (idx, fr.anchor_index[alpha])
-            for (alpha, lam), idx in fr.key_basis_index.items()
-        }
+        key_slot = key_slots(oid, fr)
         tuples = {}
         point = tangent_point(system, assignment)
         for chi in coordinate_labels(system):

@@ -137,6 +137,10 @@ def test_certify_argument_errors(monkeypatch):
         certify(Signature(5, 2, 3, 3, 1), trials=0)
     with pytest.raises(ArgumentError):
         certify(Signature(5, 2, 3, 3, 1), field_kind="float")
+    # bools are no ints here, as in `Signature`
+    for bad in ({"seed": 1.5}, {"trials": 2.0}, {"trials": True}, {"seed": False}):
+        with pytest.raises(ArgumentError, match="must be an int"):
+            certify(Signature(3, 4, 6, 2, 1), **bad)
 
 
 def test_inspect_running_example():

@@ -50,6 +50,14 @@ def test_bad_field_and_trials_are_argument_errors(capsys, tmp_path):
     assert out == ""
 
 
+def test_malformed_signature_is_an_argument_error(capsys):
+    # "²" passes str.isdigit but not int(), so only isdecimal keeps it out
+    for value in ("5,2,,3,1", "5,2,--3,3,1", "5,2,+3,3,1", "5,2,3,3,²"):
+        code, out, err = run(["inspect", "--signature", value], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --signature must be 5 comma-separated integers, got {value!r}\n"
+
+
 def test_verbose_is_an_inspect_flag(capsys):
     code, out, _ = run(["inspect", "--signature", "5,2,3,3,1", "-v"], capsys)
     assert code == 0 and "basis " in out

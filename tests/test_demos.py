@@ -1,5 +1,6 @@
 """Every narrative script under demos/, and the README's Library block, runs against the
-package with warnings as errors."""
+package with warnings as errors and prints its pinned output: a demo's stdout
+is `tests/golden/demo_NN.txt`, NN the first two characters of its name."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -27,6 +29,7 @@ def test_demo_runs(demo):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"demo_{demo.name[:2]}.txt").read_text()
 
 
 def test_readme_library_block_prints_documented_output():

@@ -1,8 +1,10 @@
 """Import hygiene of the package modules, the tests and the demos.
 
 Every name a package module, test file or demo imports is used in that file,
-no package module imports `fractions`: every scalar is an integer, and every
-private function of the package is named outside its own body.  No
+no package module imports `fractions`: every scalar is an integer, every
+private function of the package is named outside its own body, and every
+public function, method and class field of the package is read outside the
+tests, by the package, the demos, the benchmark or the README.  No
 linter ships with the test dependencies, so this reads each file's syntax
 tree with the standard library.  `__init__.py` is skipped by the unused-name
 check because it imports names only to re-export them; instead it must
@@ -12,6 +14,7 @@ import exactly the names its `__all__` lists.
 from __future__ import annotations
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -109,6 +112,91 @@ def test_dead_private_functions_detected():
 def test_every_private_function_is_referenced():
     sources = [(p.name, p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
     assert _dead_private_functions(sources) == []
+
+
+def _public_definitions(tree):
+    """Each module-level function, method and class field of one module, as
+    (qualified name, node) pairs.  The fields of a module that calls
+    `dataclasses.fields` are left out: it reads them all by reflection."""
+    reflective = any(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "fields"
+        for n in ast.walk(tree)
+    )
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+                elif isinstance(item, ast.AnnAssign) and not reflective:
+                    yield f"{node.name}.{item.target.id}", item
+
+
+def _unread_public_names(package, readers):
+    """Public functions, methods and class fields of the `package` sources
+    named nowhere in the `readers` sources but in their own definition; both
+    are (label, text) pairs, and the package should be among the readers."""
+    refs = Counter()
+    for _, text in readers:
+        refs.update(_referenced_names(ast.parse(text)))
+    unread = []
+    for label, text in package:
+        for qualified, node in _public_definitions(ast.parse(text)):
+            name = qualified.rpartition(".")[2]
+            if name.startswith("_"):
+                continue
+            if refs[name] - _referenced_names(node)[name] <= 0:
+                unread.append(f"{label}:{node.lineno}: {qualified}")
+    return unread
+
+
+# Oracles the tests build on, read nowhere else on purpose.
+TEST_ONLY_NAMES = {"gamma_formula", "SpanElement.monomial_multiple", "SpanElement.scaled"}
+
+
+def test_unread_public_names_detected():
+    package = [
+        (
+            "a.py",
+            "def used():\n    return 1\n"
+            "def unread():\n    return unread()\n"
+            "class K:\n"
+            "    field: int\n"
+            "    kept: int\n"
+            "    def method(self):\n        return self.kept\n"
+            "    def _private(self):\n        pass\n"
+            "    def __len__(self):\n        return 0\n",
+        ),
+        (
+            "b.py",
+            "from dataclasses import dataclass, fields\n"
+            "@dataclass\nclass R:\n    reflected: int\n"
+            "def dump(r):\n    return [f.name for f in fields(r)]\n",
+        ),
+    ]
+    readers = package + [("c.py", "from a import used\nfrom b import dump\ndump(used())\n")]
+    assert _unread_public_names(package, readers) == [
+        "a.py:3: unread",
+        "a.py:6: K.field",
+        "a.py:8: K.method",
+    ]
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    package = [(p.name, p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
+    readers = package + [
+        (str(p.relative_to(ROOT)), p.read_text())
+        for p in sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+    ]
+    readme = (ROOT / "README.md").read_text()
+    readers += [("README.md", code) for code in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    unread = [
+        entry
+        for entry in _unread_public_names(package, readers)
+        if entry.rpartition(" ")[2] not in TEST_ONLY_NAMES
+    ]
+    assert unread == []
 
 
 def test_imported_modules_detected():

@@ -34,6 +34,7 @@ from helpers import (
     lex_block,
     min_variable,
     small_signatures,
+    tail_span,
     target_span,
 )
 
@@ -257,13 +258,13 @@ def test_modified_system_tail_shape():
 
     trailing = {oid.index_of_basis[t] for t in oid.trailing}
     # the seeded generator: minus-theta on the seed pool, plain C elsewhere
-    tail12 = sys.tail(12)
+    tail12 = sys.tails[11]
     for q, t in enumerate(oid.tar_double_prime, start=1):
         assert tail12[oid.index_of_basis[t]] == -_theta(reg, q)
     for i in trailing:
         assert str(tail12[i]) == f"C[{i},12]"
     # a deep generator is not a leading one: pure minus-target tail
-    tail16 = sys.tail(16)
+    tail16 = sys.tails[15]
     deep_target = target_span(oid, tm[16])
     assert set(tail16) == {oid.index_of_basis[t] for t in deep_target.terms}
     for t, c in deep_target.terms.items():
@@ -276,10 +277,10 @@ def test_modified_system_tail_shape():
         and oid.border[j - 1] not in set(oid.leading)
     ]
     for j in untargeted:
-        assert sys.tail(j) == {}
+        assert sys.tails[j - 1] == {}
     # no tail coefficient carries a constant term
     for j in range(1, oid.nu + 1):
-        for c in sys.tail(j).values():
+        for c in sys.tails[j - 1].values():
             assert c.constant_term == 0
 
 
@@ -372,7 +373,7 @@ def test_target_assignment_digest():
         reg = IndeterminateRegistry(oid)
         system = build_generic_modification(oid, reg)
         digest.update(f"{sig}\n{render_targets(oid, build_targets(oid, reg))}\n".encode())
-        tails = sorted(str(system.tail_span(j)) for j in range(1, oid.nu + 1))
+        tails = sorted(str(tail_span(system, j)) for j in range(1, oid.nu + 1))
         digest.update("\n".join(tails).encode())
     assert digest.hexdigest() == (
         "60c267d605d993a4ae2ca10067e20003efaaf9eb96828d51009f7d12ead1d944"

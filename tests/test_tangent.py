@@ -43,6 +43,7 @@ from helpers import (
     all_pairs_tangent_columns,
     exact_pivots_reference,
     hom_tangent_oracle,
+    key_slots,
     modp_rank_reference,
     paper_table_signatures,
     perturbed,
@@ -242,18 +243,16 @@ def test_frame_structure_5_2_3_3_0():
         "Z[2,1]", "Z[2,2]", "Z[2,3]", "Z[2,4]",
         "Z[3,1]", "Z[4,1]", "Z[5,1]",
     ]
-    assert fr.size() == 11
+    assert sum(len(shifts) for shifts in fr.delta_sets.values()) == 11
     # anchors: x_a * x_n^(r-1) in front, x_a * x_n^s from the middle on
     assert str(fr.anchors[1]) == "x1*x5"
     assert str(fr.anchors[2]) == "x2*x5"
     assert str(fr.anchors[3]) == "x3*x5^3"
     assert str(fr.anchors[5]) == "x5^4"
-    # key basis monomial t = (anchor / x_a) * shift
-    assert fr.key_basis_index[(1, 1)] == oid.index_of_basis[oid.basis[5]]
-    for (alpha, lam), idx in fr.key_basis_index.items():
-        t = oid.basis[idx - 1]
-        expected = fr.anchors[alpha].div_var(alpha).mul(fr.delta_sets[alpha][lam - 1])
-        assert t == expected
+    # key basis monomial t = (anchor / x_a) * shift, one in the basis per label
+    slots = key_slots(oid, fr)
+    assert slots[(1, 1)] == (oid.index_of_basis[oid.basis[5]], oid.index_of_border[fr.anchors[1]])
+    assert [f"Z[{alpha},{lam}]" for alpha, lam in sorted(slots)] == fr.labels()
 
 
 def test_frame_delta_one_has_no_front_shifts():
@@ -289,7 +288,8 @@ def test_coordinate_labels_cover_dim_u(tuple_fixture):
     assert len(set(labels)) == len(labels)
     assert sum(1 for c in labels if c.startswith("C[")) == oid.ell * oid.tau
     assert sum(1 for c in labels if c.startswith("theta[")) == oid.gamma
-    assert sum(1 for c in labels if c.startswith("Z[")) == translation_frame(oid).size()
+    shifts = translation_frame(oid).delta_sets.values()
+    assert sum(1 for c in labels if c.startswith("Z[")) == sum(len(s) for s in shifts)
 
 
 def test_tuple_entries_are_sparse_nonzero_ints(tuple_fixture):
@@ -353,10 +353,7 @@ def test_z_tuple_key_components(tuple_fixture):
     oid, _, _, _, labels, tuples = tuple_fixture
     fr = translation_frame(oid)
     sig = oid.signature
-    key_slot = {
-        (alpha, lam): (idx, fr.anchor_index[alpha])
-        for (alpha, lam), idx in fr.key_basis_index.items()
-    }
+    key_slot = key_slots(oid, fr)
     # middle/back key entries: the deformation of x_a*x_n^s dominates
     i_n, j_n = key_slot[(sig.n, 1)]
     assert tuples[f"Z[{sig.n},1]"].entry(i_n, j_n) == sig.s + 1
@@ -375,10 +372,7 @@ def test_z_tuples_cross_key_zeros(tuple_fixture):
     oid, _, _, _, labels, tuples = tuple_fixture
     fr = translation_frame(oid)
     delta, n = oid.signature.delta, oid.signature.n
-    key_slot = {
-        (alpha, lam): (idx, fr.anchor_index[alpha])
-        for (alpha, lam), idx in fr.key_basis_index.items()
-    }
+    key_slot = key_slots(oid, fr)
     pairs = list(key_slot)
     for (a, lam) in pairs:
         tup = tuples[f"Z[{a},{lam}]"]
@@ -398,15 +392,12 @@ def test_z_tuples_cross_key_zeros(tuple_fixture):
 def test_theta_and_c_tuples_vanish_at_key_slots(tuple_fixture):
     oid, _, _, _, labels, tuples = tuple_fixture
     fr = translation_frame(oid)
-    key_slots = [
-        (idx, fr.anchor_index[alpha])
-        for (alpha, _), idx in fr.key_basis_index.items()
-    ]
+    slots = key_slots(oid, fr).values()
     for chi in labels:
         if chi.startswith("Z["):
             continue
         tup = tuples[chi]
-        for i_k, j_k in key_slots:
+        for i_k, j_k in slots:
             assert tup.entry(i_k, j_k) == 0, chi
 
 
@@ -465,7 +456,7 @@ def test_translation_tuples_match_direct_reduction(sig):
     spec = specialize_system(system, assignment)
     frame = translation_frame(oid)
     labels = [chi for chi in coordinate_labels(system) if chi.startswith("Z[")]
-    assert len(labels) == frame.size()
+    assert len(labels) == sum(len(shifts) for shifts in frame.delta_sets.values())
     for chi in labels:
         alpha, lam = (int(p) for p in chi[2:-1].split(","))
         shift = frame.delta_sets[alpha][lam - 1]
