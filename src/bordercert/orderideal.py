@@ -13,12 +13,13 @@ monomials (`trailing`), the pools of admissible target terms, and the border
 monomials that will actually carry targets (`s_lead` and `s_deep`).  One
 pass over the exponent tuples of every t_i * x_k gives both the border (the
 products outside the basis) and the product table (`OrderIdealData.products`,
-where each t_i * x_k lies, as a basis or border index).  Three more derived
-structures live here because they depend on the order ideal alone: the
-neighbor pairs (`OrderIdealData.neighbor_pairs`) and the subset of them whose
-S-polynomials span all the others (`OrderIdealData.generating_pairs`), each
-computed once per order ideal on first use, and the translation frame
-(`translation_frame`).
+where each t_i * x_k lies, as a basis or border index).  Four more derived
+structures live here because they depend on the order ideal alone, and each
+is computed once per order ideal on first use: the neighbor pairs
+(`OrderIdealData.neighbor_pairs`), the subset of them whose S-polynomials
+span all the others (`OrderIdealData.generating_pairs`), the translation
+frame (`translation_frame`), and the code of each quotient by a variable
+(`OrderIdealData.quotients`).
 """
 
 from __future__ import annotations
@@ -186,6 +187,68 @@ class OrderIdealData:
         found.sort()
         return tuple(found)
 
+    @cached_property
+    def quotients(self) -> Dict[Tuple[int, int], int]:
+        """{(code, alpha): code of the quotient by x_alpha} for every basis or
+        border monomial that x_alpha divides, in `products` codes.
+
+        t_i * x_alpha has code products[i][alpha], so t_i is the quotient of
+        that code.  A border monomial b_n whose quotient is no basis monomial
+        is x_alpha * b_j for the next-door pair (j, n, alpha, 0), and
+        `generating_pairs` keeps every such pair.  Only the coordinate tuples
+        read this table.
+        """
+        n = self.signature.n
+        found = {
+            (row[alpha], alpha): i
+            for i, row in enumerate(self.products[1:], start=1)
+            for alpha in range(1, n + 1)
+        }
+        found.update(
+            ((-b, alpha), -j) for j, b, alpha, beta in self.generating_pairs if not beta
+        )
+        return found
+
+    @cached_property
+    def _translation_frame(self) -> "TranslationFrame":
+        """`translation_frame` of this order ideal."""
+        sig = self.signature
+        n, r, s, delta = sig.n, sig.r, sig.s, sig.delta
+        x_n_pow = Monomial.variable(n, n, r - 1)
+        anchors: Dict[int, Monomial] = {}
+        for alpha in range(1, n + 1):
+            if alpha < delta:
+                b = x_n_pow.mul_var(alpha)
+            else:
+                b = Monomial.variable(n, n, s).mul_var(alpha)
+            if b not in self.index_of_border:
+                raise InternalInvariantError(f"translation anchor {b} is not a border monomial")
+            anchors[alpha] = b
+
+        tar_prime_set = set(self.tar_prime)
+        front_shifts: List[Monomial] = []
+        for d in range(0, s - r + 1):
+            for m in monomials_of(n, delta, d):
+                prod = m.mul(x_n_pow)
+                if prod == x_n_pow or prod in tar_prime_set:
+                    front_shifts.append(m)
+
+        delta_sets: Dict[int, Tuple[Monomial, ...]] = {}
+        for alpha in range(1, delta):
+            delta_sets[alpha] = tuple(front_shifts)
+        for alpha in range(delta, n + 1):
+            delta_sets[alpha] = (Monomial.unit(n),)
+
+        for alpha, b in anchors.items():
+            stem = b.div_var(alpha)
+            for m in delta_sets[alpha]:
+                t = stem.mul(m)
+                if t not in self.index_of_basis:
+                    raise InternalInvariantError(f"key monomial {t} for x{alpha} is not in the basis")
+
+        eta = len(front_shifts) if delta > 1 else 0
+        return TranslationFrame(anchors, delta_sets, eta)
+
 
 def _in_variables_from(m: Monomial, k: int) -> bool:
     """True when m uses only x_k..x_n."""
@@ -299,7 +362,7 @@ class TranslationFrame:
     """
 
     anchors: Dict[int, Monomial]
-    delta_sets: Dict[int, List[Monomial]]
+    delta_sets: Dict[int, Tuple[Monomial, ...]]
     eta: int
 
     def labels(self) -> List[str]:
@@ -311,7 +374,8 @@ class TranslationFrame:
 
 
 def translation_frame(oid: OrderIdealData) -> TranslationFrame:
-    """Anchor border monomials and shift sets of the translations.
+    """Anchor border monomials and shift sets of the translations, built once
+    per order ideal and shared by every caller.
 
     For every variable x_alpha the anchor is the border monomial
     x_alpha * x_n^(r-1) for a front variable, else x_alpha * x_n^s; its shift
@@ -321,39 +385,4 @@ def translation_frame(oid: OrderIdealData) -> TranslationFrame:
     is the common size of the front shift sets, 0 when there are no front
     variables.
     """
-    sig = oid.signature
-    n, r, s, delta = sig.n, sig.r, sig.s, sig.delta
-    x_n_pow = Monomial.variable(n, n, r - 1)
-    anchors: Dict[int, Monomial] = {}
-    for alpha in range(1, n + 1):
-        if alpha < delta:
-            b = x_n_pow.mul_var(alpha)
-        else:
-            b = Monomial.variable(n, n, s).mul_var(alpha)
-        if b not in oid.index_of_border:
-            raise InternalInvariantError(f"translation anchor {b} is not a border monomial")
-        anchors[alpha] = b
-
-    tar_prime_set = set(oid.tar_prime)
-    front_shifts: List[Monomial] = []
-    for d in range(0, s - r + 1):
-        for m in monomials_of(n, delta, d):
-            prod = m.mul(x_n_pow)
-            if prod == x_n_pow or prod in tar_prime_set:
-                front_shifts.append(m)
-
-    delta_sets: Dict[int, List[Monomial]] = {}
-    for alpha in range(1, delta):
-        delta_sets[alpha] = list(front_shifts)
-    for alpha in range(delta, n + 1):
-        delta_sets[alpha] = [Monomial.unit(n)]
-
-    for alpha, b in anchors.items():
-        stem = b.div_var(alpha)
-        for m in delta_sets[alpha]:
-            t = stem.mul(m)
-            if t not in oid.index_of_basis:
-                raise InternalInvariantError(f"key monomial {t} for x{alpha} is not in the basis")
-
-    eta = len(front_shifts) if delta > 1 else 0
-    return TranslationFrame(anchors, delta_sets, eta)
+    return oid._translation_frame

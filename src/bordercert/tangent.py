@@ -42,11 +42,16 @@ tuple the normal form of a generator partial times a shift.  A `TangentPoint`
 specializes the system once per point, refuses it unless it is a border
 basis, and holds what the tuples share: the specialized system, the
 translation frame, the tail gradients and each generator's partial along
-each variable as a vector on basis indices.  Every term of a partial is a
-basis or border monomial, so one `normal_form` call on its codes reduces it.
-A translation tuple multiplies that vector by the shift one variable at a
-time, each step a multiplication map on codes; at a border basis these maps
-commute, so this is the normal form of the partial times the shift.
+each variable as a vector on basis indices.  The partials are reduced on
+codes: every term of one is a basis or border monomial whose code the
+order ideal's quotient table (`OrderIdealData.quotients`) gives, so one
+`normal_form` call reduces it and no monomial is built.  Each shifted
+partial is formed once per point, from its predecessor: every shift but 1
+is a variable times an earlier shift, so the first translation tuple
+requested along x_alpha walks the partials through all shifts of alpha in
+list order, one multiplication map on codes per step, and the point keeps
+the results.  At a border basis these maps commute, so each is the normal
+form of the partial times the shift.
 `checked_columns` checks a point and assembles its equations once, and
 exact mode folds them once, for the certificate and the fallback alike;
 part (a) of the certificate reads the columns as assembled.  Prime mode
@@ -256,7 +261,9 @@ def tangent_dimension(
 # ------------------------------------------------- coordinate tangent tuples
 
 
-_TRANSLATION = re.compile(r"Z\[(\d+),(\d+)\]")
+# Exactly the labels `TranslationFrame.labels` writes: no sign, no leading
+# zero, ASCII digits only.
+_TRANSLATION = re.compile(r"Z\[([1-9][0-9]*),([1-9][0-9]*)\]")
 
 
 def random_assignment(registry: IndeterminateRegistry, seed: int) -> Dict[int, int]:
@@ -273,6 +280,8 @@ class TangentPoint(NamedTuple):
     parameter tuple, {column: -dY_ij/dchi at the point}; `partials` maps a
     variable index alpha to the normal forms of (dg_1/dx_alpha, ...,
     dg_nu/dx_alpha) of the specialized generators, each {basis index: value}.
+    `translations` maps alpha to the entries of Z[alpha, 1], Z[alpha, 2], ...,
+    filled for every shift of alpha on the first request of one of them.
     """
 
     system: BorderSystem
@@ -280,23 +289,24 @@ class TangentPoint(NamedTuple):
     frame: TranslationFrame
     partials: Dict[int, Tuple[Dict[int, int], ...]]
     jacobian: Dict[int, Dict[int, int]]
+    translations: Dict[int, List[Dict[int, int]]]
 
 
 def _reduced_partial(spec: BorderSystem, j: int, alpha: int) -> Dict[int, int]:
     """Normal form of dg_j/dx_alpha, g_j = b_j - sum_i Y_ij t_i, on basis
-    indices.  Each quotient by x_alpha has a code: t_i/x_alpha is in the
-    basis, and if b_j = x_k*t with k != alpha, then x_alpha divides t."""
+    indices, from the codes of the quotients by x_alpha
+    (`OrderIdealData.quotients`)."""
     oid = spec.oid
-    basis, index_of_basis, b = oid.basis, oid.index_of_basis, oid.border[j - 1]
+    quotients = oid.quotients
     terms = []
-    e = b.exps[alpha - 1]
+    e = oid.border[j - 1].exps[alpha - 1]
     if e:
-        q = b.div_var(alpha)
-        terms.append((index_of_basis.get(q) or -oid.index_of_border[q], e))
+        terms.append((quotients[-j, alpha], e))
+    basis = oid.basis
     for i, y in spec.tails[j - 1].items():
         e = basis[i - 1].exps[alpha - 1]
         if e:
-            terms.append((index_of_basis[basis[i - 1].div_var(alpha)], -y * e))
+            terms.append((quotients[i, alpha], -y * e))
     return spec.normal_form(terms)
 
 
@@ -326,22 +336,38 @@ def _point_at(sys_generic: BorderSystem, values, spec: BorderSystem) -> TangentP
             col = _column(oid.mu, i, j)
             for ind, d in y.gradient(values).items():
                 jacobian.setdefault(ind, {})[col] = -d
-    return TangentPoint(sys_generic, spec, frame, partials, jacobian)
+    return TangentPoint(sys_generic, spec, frame, partials, jacobian, {})
 
 
-def _translation_entries(point: TangentPoint, alpha: int, lam: int) -> Dict[int, int]:
-    fr, spec = point.frame, point.spec
-    if alpha not in fr.delta_sets or not 1 <= lam <= len(fr.delta_sets[alpha]):
-        raise ArgumentError(f"no translation direction Z[{alpha},{lam}]")
-    shift = fr.delta_sets[alpha][lam - 1]
+def _shifted_partials(point: TangentPoint, alpha: int) -> List[Dict[int, int]]:
+    """The entries of Z[alpha, lam] for every lam, in shift order.
+
+    Each shift but 1 is x_k times its predecessor, the shift divided by its
+    last variable x_k, which comes earlier in the list; so the partials times
+    a shift are one multiplication map from the partials times the
+    predecessor."""
+    spec, shifts = point.spec, point.frame.delta_sets[alpha]
     mu = spec.oid.mu
-    out: Dict[int, int] = {}
-    for j, vec in enumerate(point.partials[alpha], start=1):
-        for k, e in enumerate(shift.exps, start=1):
-            for _ in range(e):
-                vec = spec._times_variable(vec, k)
-        for i, v in vec.items():
-            out[_column(mu, i, j)] = v
+    position = {m.exps: p for p, m in enumerate(shifts)}
+    vectors: List[Tuple[Dict[int, int], ...]] = []
+    out: List[Dict[int, int]] = []
+    for m in shifts:
+        exps = m.exps
+        k = max((k for k, e in enumerate(exps, start=1) if e), default=0)
+        if not k:
+            vecs = point.partials[alpha]
+        else:
+            p = position.get(exps[: k - 1] + (exps[k - 1] - 1,) + exps[k:])
+            if p is None or p >= len(vectors):
+                raise InternalInvariantError(f"shift {m} of x{alpha} does not follow its predecessor")
+            # Most partials along a front variable are zero, and stay zero.
+            vecs = tuple(vec and spec._times_variable(vec, k) for vec in vectors[p])
+        vectors.append(vecs)
+        entries: Dict[int, int] = {}
+        for j, vec in enumerate(vecs, start=1):
+            for i, v in vec.items():
+                entries[_column(mu, i, j)] = v
+        out.append(entries)
     return out
 
 
@@ -354,7 +380,14 @@ def coordinate_tangent_tuple(
         raise ArgumentError("the tangent point was made from another system")
     m = _TRANSLATION.fullmatch(chi)
     if m:
-        entries = _translation_entries(point, int(m.group(1)), int(m.group(2)))
+        alpha, lam = int(m.group(1)), int(m.group(2))
+        shifts = point.frame.delta_sets.get(alpha, ())
+        if lam > len(shifts):
+            raise ArgumentError(f"no translation direction {chi}")
+        shifted = point.translations.get(alpha)
+        if shifted is None:
+            shifted = point.translations[alpha] = _shifted_partials(point, alpha)
+        entries = dict(shifted[lam - 1])
     else:
         entries = dict(point.jacobian.get(sys_generic.ring.registry.id_of(chi), {}))
     return TangentTuple(sys_generic.oid.mu, sys_generic.oid.nu, entries)

@@ -103,6 +103,13 @@ def test_inspect_shape_conversion(capsys, tmp_path):
     assert info["mu"] == 13
 
 
+def test_inspect_json_matches_golden(capsys, tmp_path):
+    # pins the translation anchors and shifts the shared frame holds
+    path = tmp_path / "info.json"
+    assert run(["inspect", "--signature", "5,2,3,3,0", "--json", str(path)], capsys)[0] == 0
+    assert path.read_bytes() == (GOLDEN / "inspect_5_2_3_3_0.json").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # verify / tangent
 

@@ -329,6 +329,14 @@ def test_translation_frame_5_2_3_3_0():
     assert str(fr.anchors[5]) == "x5^4"
 
 
+def test_translation_frame_is_built_once_per_order_ideal():
+    oid = build(Signature(5, 2, 3, 3, 0))
+    fr = translation_frame(oid)
+    assert translation_frame(oid) is fr
+    assert all(type(shifts) is tuple for shifts in fr.delta_sets.values())
+    assert translation_frame(build(oid.signature)) is not fr
+
+
 def test_translation_frame_5_2_3_3_1():
     oid = build(Signature(5, 2, 3, 3, 1))
     fr = translation_frame(oid)
@@ -360,11 +368,16 @@ def test_translation_frame_structure_on_grid():
         for alpha in range(1, sig.delta):
             ds = fr.delta_sets[alpha]
             assert ds[0] == Monomial.unit(sig.n)
-            assert ds == sorted(ds, key=negdeglex_key)
+            assert list(ds) == sorted(ds, key=negdeglex_key)
             assert len(ds) == fr.eta
-            for m in ds:
+            for pos, m in enumerate(ds):
                 prod = m.mul(x_top)
                 assert prod == x_top or prod in tar_prime_set
+                # the shift over its last variable comes earlier: the
+                # translation tuples are walked from it
+                if pos:
+                    last = max(k for k in range(1, sig.n + 1) if m.var_degree(k))
+                    assert m.div_var(last) in ds[:pos]
             # completeness: no other monomial in the last variables qualifies
             for d in range(0, sig.s - sig.r + 1):
                 for m in monomials_of(sig.n, sig.delta, d):

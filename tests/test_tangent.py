@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import re
 
@@ -21,11 +22,12 @@ from bordercert.borderbasis import (
 from bordercert.coeffring import CoeffPoly, IndeterminateRegistry
 from bordercert.linalg import PRIME, _exact_pivots, exact_rank, modp_rank, rank_of
 from bordercert.modification import build_generic_modification
-from bordercert.monomial import ArgumentError
+from bordercert.monomial import ArgumentError, InternalInvariantError
 from bordercert.orderideal import Signature, build, translation_frame
 from bordercert.tangent import (
     TangentTuple,
     _column,
+    _point_at,
     _tangent_columns,
     checked_columns,
     coordinate_labels,
@@ -404,7 +406,10 @@ def test_theta_and_c_tuples_vanish_at_key_slots(tuple_fixture):
 def test_coordinate_tuple_argument_errors(tuple_fixture):
     oid, registry, system, assignment, _, _ = tuple_fixture
     point = tangent_point(system, assignment)
-    for bad in ("X[1,1]", "theta[99]", "C[1,99]", "Z[9,9]", "Z[1]", "Z[1,1", "junk"):
+    # a translation label must be one `coordinate_labels` lists, as a
+    # parameter label must be a registered name
+    bad_labels = ("Z[01,1]", "Z[\u0661,1]", "Z[1,01]", "Z[0,1]", "Z[1,0]", "Z[+1,1]")
+    for bad in ("X[1,1]", "theta[99]", "C[1,99]", "Z[9,9]", "Z[1]", "Z[1,1", "junk") + bad_labels:
         with pytest.raises(ArgumentError):
             coordinate_tangent_tuple(system, point, bad)
     spec = specialize_system(system, assignment)
@@ -436,6 +441,34 @@ def _partial(f, alpha):
     return SpanElement(out)
 
 
+def test_partials_are_reduced_on_codes():
+    """Each partial read from the quotient table is the reduction of the
+    generator's partial, on every small signature whose point at seed 1 is a
+    border basis, and some border monomial's quotient is a border monomial."""
+    border_quotients = 0
+    for sig in small_signatures(4, 4):
+        oid = build(sig)
+        registry = IndeterminateRegistry(oid)
+        system = build_generic_modification(oid, registry)
+        values = random_assignment(registry, 1)
+        spec = specialize_system(system, values)
+        if not is_border_basis(spec)[0]:
+            continue
+        point = _point_at(system, values, spec)
+        assert set(point.partials) == set(range(1, sig.n + 1))
+        for alpha, partials in point.partials.items():
+            assert len(partials) == oid.nu
+            for j, vec in enumerate(partials, start=1):
+                expected = reduce(_partial(spec.generator(j), alpha), spec)
+                assert vec == {oid.index_of_basis[t]: c for t, c in expected.terms.items()}, (
+                    sig, alpha, j,
+                )
+                b = oid.border[j - 1]
+                if b.var_degree(alpha) and b.div_var(alpha) in oid.index_of_border:
+                    border_quotients += 1
+    assert border_quotients
+
+
 @pytest.mark.parametrize(
     "sig",
     [
@@ -443,6 +476,8 @@ def _partial(f, alpha):
         Signature(6, 2, 4, 4, 0),
         Signature(5, 2, 3, 3, 1),
         Signature(3, 4, 6, 2, 1),
+        # front shifts up to degree 3, each walked from its predecessor
+        Signature(5, 2, 5, 3, 1),
     ],
 )
 def test_translation_tuples_match_direct_reduction(sig):
@@ -466,6 +501,23 @@ def test_translation_tuples_match_direct_reduction(sig):
             for t, v in reduce(product, spec).terms.items():
                 expected[(j - 1) * oid.mu + oid.index_of_basis[t] - 1] = v
         assert coordinate_tangent_tuple(system, point, chi).entries == expected, chi
+
+
+def test_translation_walk_needs_each_predecessor_first(tuple_fixture):
+    _, _, system, assignment, _, _ = tuple_fixture
+    point = tangent_point(system, assignment)
+    frame = point.frame
+    backwards = {**frame.delta_sets, 1: tuple(reversed(frame.delta_sets[1]))}
+    bent = point._replace(frame=dataclasses.replace(frame, delta_sets=backwards))
+    with pytest.raises(InternalInvariantError, match="does not follow its predecessor"):
+        coordinate_tangent_tuple(system, bent, "Z[1,1]")
+
+
+def test_translation_tuples_do_not_depend_on_request_order(tuple_fixture):
+    _, _, system, assignment, labels, tuples = tuple_fixture
+    point = tangent_point(system, assignment)
+    for chi in reversed([chi for chi in labels if chi.startswith("Z[")]):
+        assert coordinate_tangent_tuple(system, point, chi) == tuples[chi], chi
 
 
 def test_point_from_another_system_is_rejected(tuple_fixture):
