@@ -297,12 +297,11 @@ def _reduced_partial(spec: BorderSystem, j: int, alpha: int) -> Dict[int, int]:
     indices, from the codes of the quotients by x_alpha
     (`OrderIdealData.quotients`)."""
     oid = spec.oid
-    quotients = oid.quotients
+    quotients, basis = oid.quotients, oid.basis
     terms = []
     e = oid.border[j - 1].exps[alpha - 1]
     if e:
         terms.append((quotients[-j, alpha], e))
-    basis = oid.basis
     for i, y in spec.tails[j - 1].items():
         e = basis[i - 1].exps[alpha - 1]
         if e:
