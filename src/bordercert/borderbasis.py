@@ -20,13 +20,22 @@ t_i -> NF(t_i * x_k) on codes; at a border basis these maps commute.
 
 `is_border_basis` applies the neighbor-pair criterion of Kehrein and Kreuzer
 on codes too: an S-polynomial is a combination of products t_i * x_k, so no
-monomial is built, and a pair whose two tails are empty is skipped.  It
-checks only the generating pairs (`OrderIdealData.generating_pairs`), whose
-S-polynomials span those of all neighbor pairs, and re-runs over every pair
-only when one fails, to report each failing pair.  Integer tails go through
-`normal_form`; polynomial tails sum flat integer dicts keyed by (code,
-exponent key), so no `CoeffPoly` is built along the way.  Only a nonzero
-residue is turned back into a `SpanElement`.
+monomial is built, and a pair whose two tails are empty is skipped.  A term
+counts only on a live code, `code > 0 or tails[-code - 1]`: a border code
+whose tail is empty has normal form 0, so its term is dropped before any
+sum.  Most terms are dead, since a top-degree basis monomial times a
+variable is a border monomial of degree s + 1, and none of those has a tail
+in the generic system.  The test reads the tails of the system under check,
+never a mask kept per order ideal, because a perturbed system can fill an
+empty tail.  `pair_codes` keeps every border code: the tangent equations
+hold the unknowns of a border monomial even where its tail is empty at the
+point.  The check covers only the generating pairs
+(`OrderIdealData.generating_pairs`), whose S-polynomials span those of all
+neighbor pairs, and re-runs over every pair only when one fails, to report
+each failing pair.  Integer tails go through `normal_form`; polynomial
+tails sum flat integer dicts keyed by (code, exponent key), so no
+`CoeffPoly` is built along the way.  Only a nonzero residue is turned back
+into a `SpanElement`.
 """
 
 from __future__ import annotations
@@ -274,7 +283,8 @@ def is_border_basis(sys: BorderSystem):
     The residue is reduce(s_polynomial(pair)) computed on `products` codes:
     the S-polynomial of a pair lies in the span of the basis and its border,
     so substituting each border code's tail once leaves basis indices only.
-    A pair whose two tails are empty has S-polynomial 0 and is skipped.
+    A pair whose two tails are empty has S-polynomial 0 and is skipped, and
+    a term on a border code whose tail is empty is dropped.
     Every S-polynomial is a sum of +-1 multiples of those of the generating
     pairs, so those alone are checked, and all pairs only to list failures.
     """
@@ -300,7 +310,16 @@ def _integer_pair_failures(sys: BorderSystem, pairs) -> list:
     failures = []
     for pair in pairs:
         j1, j2, alpha, beta = pair
-        acc = sys.normal_form(_s_codes(products, tails[j1 - 1], alpha, tails[j2 - 1], beta).items())
+        live = []
+        for i, y in tails[j2 - 1].items():
+            code = products[i][beta]
+            if code > 0 or tails[-code - 1]:
+                live.append((code, y))
+        for i, y in tails[j1 - 1].items():
+            code = products[i][alpha]
+            if code > 0 or tails[-code - 1]:
+                live.append((code, -y))
+        acc = sys.normal_form(live)
         if acc:
             failures.append((pair, SpanElement({basis[i - 1]: c for i, c in acc.items()})))
     return failures
@@ -319,10 +338,14 @@ def _poly_pair_failures(sys: BorderSystem, pairs) -> list:
         spoly: Dict[Tuple[int, tuple], int] = {}
         for i, terms in flat[j2 - 1]:
             code = products[i][beta]
+            if code < 0 and not flat[-code - 1]:
+                continue
             for key, v in terms.items():
                 spoly[code, key] = v
         for i, terms in flat[j1 - 1]:
             code = products[i][alpha]
+            if code < 0 and not flat[-code - 1]:
+                continue
             for key, v in terms.items():
                 w = spoly.get((code, key))
                 spoly[code, key] = -v if w is None else w - v

@@ -227,13 +227,14 @@ def _merge_keys(k1: ExponentKey, k2: ExponentKey) -> ExponentKey:
 
 def _integer_assignment(registry: IndeterminateRegistry, assignment: Mapping) -> Dict[int, int]:
     """Validate a point once: every indeterminate, keyed by id or display name,
-    gets an integer value (an integral rational is accepted)."""
+    gets an integer value (an integral rational is accepted, a bool is not,
+    as key or as value)."""
     values: Dict[int, int] = {}
     for key, raw in assignment.items():
         ind = registry.id_of(key) if isinstance(key, str) else key
-        if not isinstance(ind, int) or not 0 <= ind < len(registry):
+        if isinstance(ind, bool) or not isinstance(ind, int) or not 0 <= ind < len(registry):
             raise ArgumentError(f"unknown indeterminate {key!r}")
-        if not isinstance(raw, Rational) or raw.denominator != 1:
+        if isinstance(raw, bool) or not isinstance(raw, Rational) or raw.denominator != 1:
             raise ArgumentError(f"{registry.names[ind]} must take an integer value, got {raw}")
         values[ind] = int(raw)
     missing = set(range(len(registry))) - set(values)

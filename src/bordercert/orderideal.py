@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .monomial import (
     ArgumentError,
@@ -247,7 +248,7 @@ class OrderIdealData:
                     raise InternalInvariantError(f"key monomial {t} for x{alpha} is not in the basis")
 
         eta = len(front_shifts) if delta > 1 else 0
-        return TranslationFrame(anchors, delta_sets, eta)
+        return TranslationFrame(MappingProxyType(anchors), MappingProxyType(delta_sets), eta)
 
 
 def _in_variables_from(m: Monomial, k: int) -> bool:
@@ -361,8 +362,8 @@ class TranslationFrame:
     (i_{alpha,lambda}, j_alpha).
     """
 
-    anchors: Dict[int, Monomial]
-    delta_sets: Dict[int, Tuple[Monomial, ...]]
+    anchors: Mapping[int, Monomial]
+    delta_sets: Mapping[int, Tuple[Monomial, ...]]
     eta: int
 
     def labels(self) -> List[str]:
@@ -375,7 +376,8 @@ class TranslationFrame:
 
 def translation_frame(oid: OrderIdealData) -> TranslationFrame:
     """Anchor border monomials and shift sets of the translations, built once
-    per order ideal and shared by every caller.
+    per order ideal and shared by every caller, so both mappings are
+    read-only views and every shift set is a tuple.
 
     For every variable x_alpha the anchor is the border monomial
     x_alpha * x_n^(r-1) for a front variable, else x_alpha * x_n^s; its shift

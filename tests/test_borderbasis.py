@@ -210,6 +210,30 @@ def test_pair_check_matches_reference_on_perturbed_systems():
     assert str(failures[0][0]) == "NeighborPair(j1=1, j2=2, alpha=2, beta=1)"
 
 
+def test_pair_checks_read_the_tails_of_the_system_under_check():
+    """Both checks drop a term on a border code whose tail is empty, so
+    whether a code is live must be read from the system under check: here
+    the empty tail of b_n = x1*x4^3, of degree s + 1, is filled, and the
+    generating pair (1, 2, 2, 1) reaches b_n as x1 * x4^3 from the tail of
+    b_2."""
+    spec = _specialized(Signature(5, 2, 3, 3, 1))
+    oid = spec.oid
+    reg = IndeterminateRegistry(oid)
+    sym = build_generic_modification(oid, reg)
+    n = oid.index_of_border[Monomial((1, 0, 0, 3, 0))]
+    pair = (1, 2, 2, 1)
+    assert pair in oid.generating_pairs
+    for sys, one in ((spec, 1), (sym, CoeffPoly.constant(reg, 1))):
+        assert not sys.tails[n - 1]
+        # the tangent equations read every border code, so pair_codes keeps it
+        assert -n in dict(sys.pair_codes())[pair]
+        # checked first, so a live mask kept from this system would be stale
+        assert _assert_same_check(sys)[0]
+        ok, failures = _assert_same_check(perturbed(sys, n, 1, one))
+        assert not ok
+        assert pair in [p for p, _ in failures]
+
+
 def test_pair_check_on_a_verify_size_system_with_degree_2_perturbation():
     oid = build(Signature(6, 4, 5, 1, 1))
     reg = IndeterminateRegistry(oid)

@@ -108,7 +108,7 @@ def test_specialize_by_name_and_missing_value(registry):
     assert values[registry.theta_id(1)] == 2
     values = _integer_assignment(registry, {**full, registry.theta_id(1): Fraction(6, 3)})
     assert values[registry.theta_id(1)] == 2 and type(values[registry.theta_id(1)]) is int
-    for bad in (Fraction(3, 2), 1.5, "2"):
+    for bad in (Fraction(3, 2), 1.5, "2", True, False):
         with pytest.raises(ArgumentError, match=r"theta\[1\]"):
             _integer_assignment(registry, {**full, "theta[1]": bad})
     del full["theta[2]"]
@@ -122,6 +122,12 @@ def test_assignment_rejects_keys_outside_the_registry(registry):
     for key, value in ((beyond, 1), (-1, 1), (beyond, Fraction(1, 2)), ("X[1]", 1)):
         with pytest.raises(ArgumentError, match=re.escape(repr(key))):
             _integer_assignment(registry, {**full, key: value})
+    # True == 1, so the bool key takes the place of id 1 rather than joining it
+    for key in (True, False):
+        point = {i: v for i, v in full.items() if i != key}
+        point[key] = 1
+        with pytest.raises(ArgumentError, match=re.escape(repr(key))):
+            _integer_assignment(registry, point)
 
 
 def test_scalars_must_be_integers(registry):

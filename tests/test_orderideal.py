@@ -337,6 +337,20 @@ def test_translation_frame_is_built_once_per_order_ideal():
     assert translation_frame(build(oid.signature)) is not fr
 
 
+def test_translation_frame_is_read_only():
+    """The frame is shared, so a write to it must not reach a later caller."""
+    oid = build(Signature(5, 2, 3, 3, 0))
+    fr = translation_frame(oid)
+    with pytest.raises(TypeError):
+        fr.delta_sets[1] = ()
+    with pytest.raises(TypeError):
+        del fr.delta_sets[1]
+    with pytest.raises(TypeError):
+        fr.anchors[1] = fr.anchors[2]
+    assert len(translation_frame(oid).labels()) == 11
+    assert str(translation_frame(oid).anchors[1]) == "x1*x5"
+
+
 def test_translation_frame_5_2_3_3_1():
     oid = build(Signature(5, 2, 3, 3, 1))
     fr = translation_frame(oid)
