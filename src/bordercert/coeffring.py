@@ -230,15 +230,20 @@ def _integer_assignment(registry: IndeterminateRegistry, assignment: Mapping) ->
     gets an integer value (an integral rational is accepted, a bool is not,
     as key or as value)."""
     values: Dict[int, int] = {}
+    size = len(registry)
     for key, raw in assignment.items():
+        # plain ints, as `random_assignment` hands them, skip the ABC check
+        if type(key) is int and type(raw) is int and 0 <= key < size:
+            values[key] = raw
+            continue
         ind = registry.id_of(key) if isinstance(key, str) else key
-        if isinstance(ind, bool) or not isinstance(ind, int) or not 0 <= ind < len(registry):
+        if isinstance(ind, bool) or not isinstance(ind, int) or not 0 <= ind < size:
             raise ArgumentError(f"unknown indeterminate {key!r}")
         if isinstance(raw, bool) or not isinstance(raw, Rational) or raw.denominator != 1:
             raise ArgumentError(f"{registry.names[ind]} must take an integer value, got {raw}")
         values[ind] = int(raw)
-    missing = set(range(len(registry))) - set(values)
-    if missing:
+    if len(values) < size:
+        missing = set(range(size)) - set(values)
         names = ", ".join(registry.names[i] for i in sorted(missing)[:5])
         raise ArgumentError(f"assignment misses {len(missing)} indeterminates ({names}, ...)")
     return values

@@ -14,17 +14,23 @@ codes (`BorderSystem.normal_form`) and the pairs' S-polynomials on the same
 codes (`BorderSystem.pair_codes`); no monomial is built or reduced.
 
 Every tangent rank runs over the unknowns of the corner generators, the
-border monomials that are no variable multiple of another one.  Any other
-b_n is x_alpha * b_j, and in the equations of the next-door pair
-(j, n, alpha, 0) its unknowns a_{.,n} form an identity block.
-`corner_columns` folds those blocks into the other columns by unit pivots
-over Z and leaves its input as it is.  The tangent dimension is the nullity
-of the folded system, the unknowns left less the rank of what remains, over
-Q and mod p alike.  This mirrors two facts: a tangent vector in
-Hom_R(I, R/I) is fixed by its values on generators of I, and the tangent
-space of the border basis scheme is that Hom (Kreuzer and Robbiano,
-"Deformations of border bases", 2008); the next-door relations are those of
-Kehrein and Kreuzer (2005).
+border monomials that are no variable multiple of another one, less those
+a singleton equation forces to 0.  `corner_columns` first peels: where an
+equation is held by one column alone, no other column meets it, so that
+column adds exactly one to the rank and is dropped.  Its entry there must be
+nonzero mod `linalg.PRIME` as well as over Z, so that this holds over Q and
+mod p alike.  Dropping a column may leave another such equation, and the
+peel repeats.  Peeling before the fold keeps the fold from writing fill-in
+into columns that are dropped anyway.  Any other b_n is x_alpha * b_j, and
+in the equations of the next-door pair (j, n, alpha, 0) its unknowns
+a_{.,n} form an identity block.  `corner_columns` then folds those blocks
+into the other columns by unit pivots over Z and leaves its input as it
+is.  The tangent dimension is the nullity of the folded system, the
+unknowns left less the rank of what remains, over Q and mod p alike.  The
+fold mirrors two facts: a tangent vector in Hom_R(I, R/I) is fixed by its
+values on generators of I, and the tangent space of the border basis
+scheme is that Hom (Kreuzer and Robbiano, "Deformations of border bases",
+2008); the next-door relations are those of Kehrein and Kreuzer (2005).
 
 Coordinate tangent tuples differentiate the constructed family itself: one
 tuple per free tail slot, per free target coefficient, and per translation
@@ -62,12 +68,12 @@ from __future__ import annotations
 
 import random
 import re
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .borderbasis import BorderSystem, is_border_basis, specialize_system
 from .coeffring import IndeterminateRegistry, _integer_assignment
 from . import linalg
-from .linalg import check_field, rank_of
+from .linalg import PRIME, check_field, rank_of
 from .monomial import ArgumentError, InternalInvariantError
 from .orderideal import OrderIdealData, TranslationFrame, translation_frame
 
@@ -153,20 +159,65 @@ def _tangent_columns(sys: BorderSystem) -> List[Dict[int, int]]:
     return cols
 
 
-def corner_columns(oid: OrderIdealData, columns: List[Dict[int, int]]) -> List[Dict[int, int]]:
-    """The tangent equations held by `columns` with their next-door identity
-    blocks folded into the other unknowns: the columns that remain, those of
-    the corners.  `columns` and its dicts are left as they are; a column is
-    copied the first time a step writes into it, and the others are shared.
+def _peel(columns: List[Dict[int, int]]) -> Tuple[Dict[int, List[int]], Set[int]]:
+    """The columns that hold each equation, and the columns the singleton
+    peel of `corner_columns` drops.  A step never raises an equation's
+    count, so the dropped set does not depend on the order of the steps."""
+    held: Dict[int, List[int]] = {}
+    for u, vec in enumerate(columns):
+        for eq in vec:
+            found = held.get(eq)
+            if found is None:
+                held[eq] = [u]
+            else:
+                found.append(u)
+    peeled: Set[int] = set()
+    # The count of an equation a dropped column held; the others still
+    # count len(held[eq]).
+    left: Dict[int, int] = {}
+    lone = [eq for eq, found in held.items() if len(found) == 1]
+    while lone:
+        e = lone.pop()
+        if left.get(e, 1) != 1:
+            continue
+        u = next(v for v in held[e] if v not in peeled)
+        if not columns[u][e] % PRIME:
+            continue
+        peeled.add(u)
+        for eq in columns[u]:
+            n = left.get(eq, len(held[eq])) - 1
+            left[eq] = n
+            if n == 1:
+                lone.append(eq)
+    return held, peeled
 
-    Each border monomial b_n that is no corner pivots on its first kept pair
-    (j, n, alpha, 0), the p-th generating pair: equation `mu*p + k - 1`
+
+def corner_columns(oid: OrderIdealData, columns: List[Dict[int, int]]) -> List[Dict[int, int]]:
+    """The tangent equations held by `columns`, less the unknowns that
+    singleton equations force to 0, with their next-door identity blocks
+    folded into the other unknowns: the columns that remain, those of the
+    corners the peel leaves.  `columns` and its dicts are left as they are;
+    a column is copied the first time a step writes into it, and the others
+    are shared.
+
+    First the peel (`_peel`): where one column alone is left to hold an
+    equation, with an entry nonzero mod `linalg.PRIME`, no other column
+    meets that equation, so the column adds exactly one to the rank over Q
+    and mod p alike and is dropped.  Dropping it lowers the count of each of
+    its equations, so the peel repeats until no such equation is left.
+    This is the first step of structured Gaussian elimination (LaMacchia
+    and Odlyzko, CRYPTO '90).  Peeling before the fold spares the fold the
+    fill-in it would write into those columns.
+
+    Then each border monomial b_n that is no corner pivots on its first kept
+    pair (j, n, alpha, 0), the p-th generating pair: equation `mu*p + k - 1`
     holds a_{k,n} with coefficient 1 and no other a_{.,n}.  Adding multiples
     of the pivot column clears its equation from every other column; the
     equation and the pivot column then add exactly one to the rank.  The
     steps are unimodular over Z, so the nullity is kept over Q and mod
-    `linalg.PRIME` alike.  An earlier step may bend a later pivot; one that
-    is no longer -1 or 1 is skipped, and its unknown stays.
+    `linalg.PRIME` alike.  A pivot whose column was peeled is skipped.  An
+    earlier step may bend a later pivot; one that is no longer -1 or 1 is
+    skipped, and its unknown stays.
     """
     mu = oid.mu
     first_pair: Dict[int, int] = {}
@@ -176,18 +227,16 @@ def corner_columns(oid: OrderIdealData, columns: List[Dict[int, int]]) -> List[D
     pivots = [
         (_column(mu, k, n), mu * p + k - 1) for n, p in first_pair.items() for k in range(1, mu + 1)
     ]
+    held, gone = _peel(columns)
     # The columns holding each pivot equation still to come.  Only those
     # are read, and a column is listed again where an entry fills in, so a
-    # column may be listed twice or where its entry has cancelled.
-    holders: Dict[int, List[int]] = {e: [] for _, e in pivots}
-    for u, vec in enumerate(columns):
-        for eq in vec:
-            found = holders.get(eq)
-            if found is not None:
-                found.append(u)
+    # column may be listed twice, where its entry has cancelled, or where
+    # it was peeled.
+    holders: Dict[int, List[int]] = {e: held.get(e, []) for _, e in pivots}
     work: Dict[int, Dict[int, int]] = {}
-    gone = set()
     for u, e in pivots:
+        if u in gone:
+            continue
         pivot = work.get(u, columns[u])
         s = pivot.get(e)
         if s != 1 and s != -1:

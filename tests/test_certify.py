@@ -273,9 +273,9 @@ def test_a_bent_tuple_falls_back_to_the_exact_rank(monkeypatch):
     assert report.verdict == "ELEMENTARY_CERTIFIED"
     assert [t["tangentDim"] for t in report.trials] == [59]
     assert report.evidence == []
-    # one exact rank, of the columns of the corner unknowns: the fold
-    # eliminates 273 of the 494 unknowns by unit pivots, each one rank
-    assert exact_ranks == [494 - 59 - 273]
+    # one exact rank, of the columns left: the peel drops 93 of the 494
+    # unknowns and the fold eliminates 188 by unit pivots, each one rank
+    assert exact_ranks == [494 - 59 - 93 - 188]
 
 
 def test_failed_certificate_keeps_the_exact_dimension():

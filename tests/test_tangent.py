@@ -27,6 +27,7 @@ from bordercert.orderideal import Signature, build, translation_frame
 from bordercert.tangent import (
     TangentTuple,
     _column,
+    _peel,
     _point_at,
     _tangent_columns,
     checked_columns,
@@ -132,19 +133,22 @@ def test_tangent_equations_are_ranked_by_column(monkeypatch):
 
     monkeypatch.setattr("bordercert.tangent.rank_of", capture)
     assert tangent_dimension(spec) == 59
-    # one vector per unknown a_ij of the corner generators, indexed by
-    # (generating pair, basis monomial), empty ones included, since
-    # `rank_of` drops empty rows itself; every other unknown was folded out
-    # with its identity equation, and the system is tall, so far fewer
-    # vectors than equations remain
+    # one vector per unknown a_ij left, indexed by (generating pair, basis
+    # monomial), empty ones included, since `rank_of` drops empty rows
+    # itself; every other unknown was peeled by a singleton equation or
+    # folded out with its identity equation, and the system is tall, so far
+    # fewer vectors than equations remain
     n_equations = oid.mu * len(oid.generating_pairs)
     assert n_equations < oid.mu * len(oid.neighbor_pairs)
     pivots = _identity_pivots(oid)
-    assert len(pivots) == 273
-    assert len(seen) == oid.mu * oid.nu - len(pivots) < n_equations - len(pivots)
+    _, peeled = _peel(checked_columns(spec))
+    taken = [(u, e) for u, e in pivots if u not in peeled]
+    assert (len(pivots), len(peeled), len(taken)) == (273, 93, 188)
+    assert len(seen) == oid.mu * oid.nu - len(peeled) - len(taken) == 213
+    assert len(seen) < n_equations - len(taken)
     assert any(vec for vec in seen)
     assert all(0 <= eq < n_equations and v for vec in seen for eq, v in vec.items())
-    folded_out = {eq for _, eq in pivots}
+    folded_out = {eq for _, eq in taken}
     assert not any(eq in folded_out for vec in seen for eq in vec)
 
 
@@ -614,10 +618,67 @@ def _corners(oid):
     ]
 
 
+_ENTRIES = st.one_of(st.integers(-3, 3).filter(bool), st.sampled_from([PRIME, -PRIME, 2 * PRIME]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 7), _ENTRIES, max_size=4), max_size=8))
+def test_each_peeled_column_adds_one_to_the_rank(columns):
+    """On any sparse integer columns, the peeled count plus the rank of the
+    rest is the rank of all, over Q and mod p; the peeled set does not
+    depend on the column order."""
+    held, peeled = _peel(columns)
+    assert held == {
+        eq: [u for u, vec in enumerate(columns) if eq in vec] for vec in columns for eq in vec
+    }
+    rest = [vec for u, vec in enumerate(columns) if u not in peeled]
+    for rank in (exact_rank, modp_rank):
+        assert len(peeled) + rank(rest) == rank(columns), rank
+    last = len(columns) - 1
+    assert _peel(columns[::-1])[1] == {last - u for u in peeled}
+
+
+def test_the_peel_cascades():
+    """Dropping a column can leave another equation with a single holder:
+    equation 0 alone is a singleton at first, and peeling its column makes
+    equation 1 one, then equation 2."""
+    columns = [{0: 1, 1: 1}, {1: 2, 2: 5}, {2: -1, 3: 1}, {3: 4}, {3: 1}]
+    held, peeled = _peel(columns)
+    assert [eq for eq, found in held.items() if len(found) == 1] == [0]
+    assert peeled == {0, 1, 2}
+    assert len(peeled) + exact_rank(columns[3:]) == exact_rank(columns) == 4
+
+
+def test_a_singleton_entry_of_prime_is_not_peeled():
+    """An equation held by one column whose entry is PRIME says nothing mod
+    p, so the column stays; a peel would add one to the rank mod p where
+    the column may add none."""
+    columns = [{0: PRIME, 1: 1}, {1: 1}]
+    assert _peel(columns)[1] == set()
+    assert exact_rank(columns) == 2 and modp_rank(columns) == 1
+
+    # On the tangent columns of (5,2,3,3,1): the holder u of a singleton
+    # equation e gets the entry PRIME there, and otherwise the entries of a
+    # column w, so u is w mod p and the two fields' nullities differ.
+    oid, spec = _modified_specialized(Signature(5, 2, 3, 3, 1))
+    columns = _tangent_columns(spec)
+    held, peeled = _peel(columns)
+    e, (u,) = next((eq, found) for eq, found in held.items() if len(found) == 1)
+    w = next(w for w, vec in enumerate(columns) if vec and w not in peeled and e not in vec)
+    columns[u] = {e: PRIME, **columns[w]}
+    assert u not in _peel(columns)[1]
+    folded = corner_columns(oid, columns)
+    nullity = {rank: len(columns) - rank(columns) for rank in (exact_rank, modp_rank)}
+    assert nullity[modp_rank] == nullity[exact_rank] + 1 == 60
+    for rank in (exact_rank, modp_rank):
+        assert len(folded) - rank(folded) == nullity[rank], rank
+
+
 def test_the_fold_keeps_the_rank_over_the_corner_unknowns():
-    """Folding the next-door identity blocks takes every identity pivot,
-    mu*(nu - c) of them for c corners, leaves the columns as assembled, and
-    keeps the nullity, over Q and mod p alike."""
+    """The peel and the fold take every identity pivot whose column is not
+    peeled, out of mu*(nu - c) for c corners, leave the columns as
+    assembled, leave no singleton equation to peel after them, and keep the
+    nullity, over Q and mod p alike."""
     checked = 0
     for sig in small_signatures(5, 5):
         oid = build(sig)
@@ -628,7 +689,12 @@ def test_the_fold_keeps_the_rank_over_the_corner_unknowns():
         reduced = corner_columns(oid, columns)
         assert columns == _tangent_columns(spec), sig
         assert len(columns) == oid.mu * oid.nu, sig
-        assert len(columns) - len(reduced) == oid.mu * (oid.nu - len(_corners(oid))), sig
+        pivots = _identity_pivots(oid)
+        assert len(pivots) == oid.mu * (oid.nu - len(_corners(oid))), sig
+        _, peeled = _peel(columns)
+        taken = [u for u, _ in pivots if u not in peeled]
+        assert len(columns) - len(reduced) == len(peeled) + len(taken), sig
+        assert not _peel(reduced)[1], sig
         for rank in (modp_rank, exact_rank):
             assert len(reduced) - rank(reduced) == len(columns) - rank(columns), (sig, rank)
         checked += 1
@@ -641,15 +707,21 @@ def test_a_bent_identity_pivot_is_skipped():
     oid, spec = _modified_specialized(Signature(5, 2, 3, 3, 1))
     bent = _tangent_columns(spec)
     pivots = _identity_pivots(oid)
-    u, e = pivots[0]
+    # the first pivot's column is peeled, so the fold never reaches it
+    _, peeled = _peel(bent)
+    assert pivots[0][0] in peeled and pivots[1][0] not in peeled
+    u, e = pivots[1]
     assert bent[u][e] == 1
     bent[u][e] = 2
+    assert _peel(bent)[1] == peeled
     full = {"exact": exact_rank(bent), "prime": modp_rank(bent)}
     reduced = corner_columns(oid, bent)
     eliminated = oid.mu * oid.nu - len(reduced)
-    assert eliminated == len(pivots) - 1 == 272
-    # the bent column is the only pivot column kept, and it still holds 2
-    gone = {w for w, _ in pivots[1:]}
+    taken = {w for w, _ in pivots if w not in peeled and w != u}
+    assert eliminated == len(peeled) + len(taken) == 93 + 187
+    # the bent column is the only unpeeled pivot column kept, and it still
+    # holds 2
+    gone = peeled | taken
     kept = [w for w in range(oid.mu * oid.nu) if w not in gone]
     assert reduced[kept.index(u)][e] == 2
     assert eliminated + exact_rank(reduced) == full["exact"]
@@ -672,7 +744,8 @@ def test_exact_certify_leaves_the_columns_unfolded(monkeypatch):
     assert [t["tangentDim"] for t in report.trials] == [59]
     ((spec, columns, reduced),) = seen
     assert columns == _tangent_columns(spec)
-    assert len(columns) - len(reduced) == 273 and len(reduced) == 494 - 273
+    # the peel drops 93 unknowns and the fold 188
+    assert len(columns) - len(reduced) == 93 + 188 and len(reduced) == 494 - 281 == 213
 
     # At (3,4,6,2,1) every certificate fails, so each trial falls back to
     # the exact rank of the very list its certificate got, folded once.
@@ -811,7 +884,8 @@ def test_witness_certificate_refuses_a_perturbed_tail(witness_fixture, data):
 def test_witness_certificate_stops_early_where_it_fails(monkeypatch):
     # At (3,4,6,2,1) the tangent dimension is 129, far above dim(U) = 50, so
     # part (c) gives up long before the folded columns reach their rank
-    # 783 - 129 - 348: the fold eliminates 348 of the 783 unknowns.
+    # 783 - 129 - 426: the peel drops 267 of the 783 unknowns and the fold
+    # eliminates 159 more.
     oid = build(Signature(3, 4, 6, 2, 1))
     registry = IndeterminateRegistry(oid)
     system = build_generic_modification(oid, registry)
@@ -820,7 +894,9 @@ def test_witness_certificate_stops_early_where_it_fails(monkeypatch):
     columns = checked_columns(spec)
     folded = corner_columns(oid, columns)
     eliminated = len(columns) - len(folded)
-    assert eliminated == len(_identity_pivots(oid)) == 348
+    _, peeled = _peel(columns)
+    taken = [u for u, _ in _identity_pivots(oid) if u not in peeled]
+    assert eliminated == len(peeled) + len(taken) == 267 + 159 == 426
     linalg = importlib.import_module("bordercert.linalg")
     real = linalg.modp_rank
     ranks = []
@@ -833,8 +909,8 @@ def test_witness_certificate_stops_early_where_it_fails(monkeypatch):
     assert not witness_certificate(system, assignment, spec, columns, folded)
     assert len(ranks) == 1
     target, got = ranks[0]
-    assert target == oid.mu * oid.nu - dim_U(oid) - eliminated == 733 - 348
-    assert got < 654 - 348 == real([vec for vec in folded if vec])
+    assert target == oid.mu * oid.nu - dim_U(oid) - eliminated == 733 - 426
+    assert got < 654 - 426 == real([vec for vec in folded if vec])
     assert real([vec for vec in columns if vec]) == 654
     assert tangent_dimension(spec, "exact", folded) == 129
 
